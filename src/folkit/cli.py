@@ -15,22 +15,23 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, rowio
 from .collect import (
     EndpointUnavailable,
     HttpGenerator,
     InsufficientCorpus,
-    NgramGate,
     ReplayGenerator,
     run_collection,
 )
 from .fol import print_canonical
 from .forge import (
     GoldUnparseableRow,
+    MissingPrediction,
     bin_scores,
     corpus_stats,
     forge_records,
     load_pairs,
+    write_records,
 )
 from .metrics import GoldUnparseable, RewardConfig, reward_detail
 from .parser import FolSyntaxError, validate
@@ -59,6 +60,22 @@ class EndpointError(click.ClickException):
     exit_code = EXIT_ENDPOINT
 
 
+# failures of the input data, whichever command meets them
+DATA_ERRORS = (rowio.InputError, GoldUnparseable, GoldUnparseableRow, MissingPrediction, InsufficientCorpus)
+
+
+class _Main(click.Group):
+    """Maps data errors to exit code 3 and endpoint failures to 4, for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DATA_ERRORS as exc:
+            raise DataError(str(exc)) from exc
+        except EndpointUnavailable as exc:
+            raise EndpointError(str(exc)) from exc
+
+
 def _setup_logging(verbose: bool) -> None:
     logging.basicConfig(
         stream=sys.stderr,
@@ -71,22 +88,39 @@ def _log_config(command: str, **options) -> None:
     log.info("run config: %s", json.dumps({"command": command, **options}, default=str, sort_keys=True))
 
 
-def _read_lines(path: str) -> list[str]:
-    """One FOL per line; JSONL rows may carry the rule under 'fol' or 'FOL'."""
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, FOL) for each non-blank line; JSONL rows may carry the
+    rule under 'fol' or 'FOL'."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+    for n, text in rowio.lines(path):
+        text = text.strip()
+        if not text:
             continue
-        if line.startswith("{"):
-            row = {k.lower(): v for k, v in json.loads(line).items()}
-            out.append(row["fol"])
-        else:
-            out.append(line)
+        if text.startswith("{"):
+            text = rowio.row(path, n, text, ("fol",), fold_case=True)["fol"]
+        out.append((n, text))
     return out
 
 
-@click.group()
+def _check_counts(path_a: str, rows_a: list, path_b: str, rows_b: list) -> None:
+    """Two line-aligned inputs must hold the same number of rows."""
+    if len(rows_a) != len(rows_b):
+        raise DataError(f"{path_a} and {path_b} differ in length: {len(rows_a)} against {len(rows_b)} rows")
+
+
+def _number_list(kind):
+    """A click callback parsing a comma-separated list of ``kind`` numbers."""
+
+    def convert(ctx, param, value):
+        try:
+            return tuple(kind(x) for x in value.split(","))
+        except ValueError:
+            raise click.BadParameter(f"expected comma-separated {kind.__name__} values, got {value!r}") from None
+
+    return convert
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 @click.option("--verbose", is_flag=True, help="Debug logging.")
 @click.pass_context
@@ -106,7 +140,7 @@ def main(ctx, verbose):
 def validate_cmd(in_path, out_path, dry_run):
     """Check every rule in a file against the grammar."""
     _log_config("validate", in_path=in_path, out_path=out_path, dry_run=dry_run)
-    rules = _read_lines(in_path)
+    rules = [text for _, text in _read_lines(in_path)]
     if dry_run:
         click.echo(f"dry-run: {len(rules)} rules to check")
         return
@@ -115,16 +149,19 @@ def validate_cmd(in_path, out_path, dry_run):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             for text, v in verdicts:
-                fh.write(json.dumps({"fol": text, "valid": v.valid, "reason": v.reason}, ensure_ascii=False) + "\n")
+                rowio.write(fh, {"fol": text, "valid": v.valid, "reason": v.reason})
     click.echo(f"checked {len(rules)} rules: {n_valid} valid, {len(rules) - n_valid} invalid")
 
 
 # ---------------------------------------------------------------------------
 
 
-def _score_one(args: tuple[str, str, float, int]) -> dict:
-    gold, pred, omega, max_atoms = args
-    detail = reward_detail(gold, pred, RewardConfig(omega=omega, max_atoms=max_atoms))
+def _score_one(args: tuple[str, int, str, str, float, int]) -> dict:
+    gold_path, line, gold, pred, omega, max_atoms = args
+    try:
+        detail = reward_detail(gold, pred, RewardConfig(omega=omega, max_atoms=max_atoms))
+    except GoldUnparseable as exc:
+        raise rowio.InputError(gold_path, line, f"gold rule does not parse: {exc}") from None
     row = {
         "gold": gold,
         "pred": pred,
@@ -137,25 +174,27 @@ def _score_one(args: tuple[str, str, float, int]) -> dict:
     return row
 
 
-def _load_pairs_for_scoring(gold, pred, pairs):
+def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
+    """(line number of the gold rule, gold, pred) per pair, from --pairs
+    (TSV or JSONL) or from the line-aligned --gold and --pred files."""
     if pairs:
         rows = []
-        for line in Path(pairs).read_text(encoding="utf-8").splitlines():
-            line = line.rstrip("\n")
-            if not line.strip():
+        for n, text in rowio.lines(pairs):
+            if not text.strip():
                 continue
-            if line.lstrip().startswith("{"):
-                row = {k.lower(): v for k, v in json.loads(line).items()}
-                rows.append((row["gold"], row["pred"]))
+            if text.lstrip().startswith("{"):
+                row = rowio.row(pairs, n, text, ("gold", "pred"), fold_case=True)
+                rows.append((n, row["gold"], row["pred"]))
+            elif "\t" in text:
+                g, p = text.split("\t", 1)
+                rows.append((n, g, p))
             else:
-                g, p = line.split("\t", 1)
-                rows.append((g, p))
+                raise rowio.InputError(pairs, n, "expected a gold<TAB>pred line or a JSON object")
         return rows
     golds = _read_lines(gold)
     preds = _read_lines(pred)
-    if len(golds) != len(preds):
-        raise DataError(f"gold has {len(golds)} rules, pred has {len(preds)}")
-    return list(zip(golds, preds))
+    _check_counts(gold, golds, pred, preds)
+    return [(n, g, p) for (n, g), (_, p) in zip(golds, preds)]
 
 
 @main.command("score")
@@ -177,19 +216,17 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
     if dry_run:
         click.echo(f"dry-run: {len(rows)} pairs to score")
         return
-    work = [(g, p, omega, max_atoms) for g, p in rows]
-    try:
-        if workers > 1:
-            with Pool(workers) as pool:
-                results = pool.map(_score_one, work)
-        else:
-            results = [_score_one(w) for w in work]
-    except GoldUnparseable as exc:
-        raise DataError(f"gold rule does not parse: {exc}")
+    gold_path = pairs or gold
+    work = [(gold_path, n, g, p, omega, max_atoms) for n, g, p in rows]
+    if workers > 1:
+        with Pool(workers) as pool:
+            results = pool.map(_score_one, work)
+    else:
+        results = [_score_one(w) for w in work]
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             for row in results:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+                rowio.write(fh, row)
     if results:
         mean = lambda key: sum(r[key] for r in results) / len(results)  # noqa: E731
         for row in results:
@@ -206,27 +243,26 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
 @main.command("perturb")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--n-perturb", default="0,1,2,3,4,5,6,7,8,9,10", show_default=True)
-@click.option("--n-correct", default="0,1,2,3", show_default=True)
+@click.option("--n-perturb", default="0,1,2,3,4,5,6,7,8,9,10", show_default=True, callback=_number_list(int))
+@click.option("--n-correct", default="0,1,2,3", show_default=True, callback=_number_list(int))
 @click.option("--negative-prob", default=0.2, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--dry-run", is_flag=True)
 def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dry_run):
     """Emit one perturbation record per input rule."""
     config = PerturbConfig(
-        n_perturb_choices=tuple(int(x) for x in n_perturb.split(",")),
-        n_correct_choices=tuple(int(x) for x in n_correct.split(",")),
+        n_perturb_choices=n_perturb,
+        n_correct_choices=n_correct,
         negative_prob=negative_prob,
         seed=seed,
     )
     _log_config("perturb", in_path=in_path, out_path=out_path, config=config, dry_run=dry_run)
-    texts = _read_lines(in_path)
     rules = []
-    for i, text in enumerate(texts):
+    for n, text in _read_lines(in_path):
         try:
             rules.append(parse_fol(text))
         except FolSyntaxError as exc:
-            raise DataError(f"rule {i} does not parse: {exc}")
+            raise rowio.InputError(in_path, n, f"rule does not parse: {exc}") from None
     if dry_run:
         click.echo(f"dry-run: {len(rules)} rules to perturb")
         return
@@ -241,7 +277,7 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
                 "perturbed": print_canonical(perturbed),
                 "steps_to_fix": [step_to_dict(s, t) for s, t in zip(steps, texts_rendered)],
             }
-            out_fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            rowio.write(out_fh, record)
     finally:
         if out_path:
             out_fh.close()
@@ -271,20 +307,17 @@ def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, 
     if not pairs:
         raise DataError(f"no pairs in {in_path}")
     preds = None
-    if predictions:
-        preds = [l.strip() for l in Path(predictions).read_text(encoding="utf-8").splitlines()]
+    if predictions and task == "t2":
+        # blank lines are kept: line i is the prediction for pair i
+        preds = [text.strip() for _, text in rowio.lines(predictions)]
+        _check_counts(predictions, preds, in_path, pairs)
+        for n, text in enumerate(preds, 1):
+            if not text:
+                raise rowio.InputError(predictions, n, "empty prediction")
     if dry_run:
         click.echo(f"dry-run: would forge {count} {task} records from {len(pairs)} pairs")
         return
-    try:
-        stream = forge_records(pairs, task, count, config, preds)
-        n = 0
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for rec in stream:
-                fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
-                n += 1
-    except GoldUnparseableRow as exc:
-        raise DataError(str(exc))
+    n = write_records(forge_records(pairs, task, count, config, preds), out_path)
     click.echo(f"forged {n} {task} records to {out_path}")
 
 
@@ -322,21 +355,25 @@ def stats_cmd(in_path, out_path, top_terms, top_pairs, dry_run):
 @main.command("bins")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True),
               help="JSONL rows of score columns.")
-@click.option("--edges", required=True, help="Comma-separated, strictly decreasing from 1.0.")
+@click.option("--edges", required=True, callback=_number_list(float),
+              help="Comma-separated, strictly decreasing from 1.0.")
 @click.option("--group-key", default="gpt_le", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--dry-run", is_flag=True)
 def bins_cmd(in_path, edges, group_key, out_path, dry_run):
     """Per-bin score means grouped by one score column."""
     _log_config("bins", in_path=in_path, edges=edges, group_key=group_key, dry_run=dry_run)
-    edge_list = [float(x) for x in edges.split(",")]
-    rows = [json.loads(l) for l in Path(in_path).read_text(encoding="utf-8").splitlines() if l.strip()]
+    rows = []
+    for n, row in rowio.jsonl(in_path):
+        if not isinstance(row.get(group_key), (int, float)):
+            raise rowio.InputError(in_path, n, f"group key {group_key!r} is not a number")
+        rows.append(row)
     if dry_run:
-        click.echo(f"dry-run: {len(rows)} rows, {len(edge_list) - 1} bins")
+        click.echo(f"dry-run: {len(rows)} rows, {len(edges) - 1} bins")
         return
     try:
-        result = bin_scores(rows, edge_list, group_key)
-    except (ValueError, KeyError) as exc:
+        result = bin_scores(rows, list(edges), group_key)
+    except ValueError as exc:
         raise DataError(str(exc))
     payload = json.dumps(result, indent=2)
     if out_path:
@@ -372,15 +409,10 @@ def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_thres
         click.echo(f"dry-run: target {target}, bootstrap corpus of {len(pairs)}")
         return
     generator = ReplayGenerator(replay) if replay else HttpGenerator(endpoint, model)
-    try:
-        result = run_collection(
-            generator, target, out_dir, pairs, random.Random(seed),
-            align_threshold=align_threshold, max_calls=max_calls,
-        )
-    except InsufficientCorpus as exc:
-        raise DataError(str(exc))
-    except EndpointUnavailable as exc:
-        raise EndpointError(str(exc))
+    result = run_collection(
+        generator, target, out_dir, pairs, random.Random(seed),
+        align_threshold=align_threshold, max_calls=max_calls,
+    )
     click.echo(
         f"accepted {result.accepted}  rejected {result.rejected}  "
         f"calls {result.calls}  stopped: {result.stopped}"
@@ -408,22 +440,27 @@ def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, om
         raise click.UsageError("provide --endpoint or --replay")
     _log_config("correct", in_path=in_path, gold_path=gold_path, endpoint=endpoint,
                 replay=replay, max_generations=max_generations, out_path=out_path, dry_run=dry_run)
-    rows = [json.loads(l) for l in Path(in_path).read_text(encoding="utf-8").splitlines() if l.strip()]
+    numbered = list(rowio.jsonl(in_path, ("nl", "pred")))
+    gold_file, gold_lines = in_path, numbered  # the file and lines each row's gold comes from
     if gold_path:
-        golds = _read_lines(gold_path)
-        if len(golds) != len(rows):
-            raise DataError(f"{len(golds)} gold rules for {len(rows)} rows")
-        for row, g in zip(rows, golds):
+        gold_file, gold_lines = gold_path, _read_lines(gold_path)
+        _check_counts(gold_path, gold_lines, in_path, numbered)
+        for (_, row), (_, g) in zip(numbered, gold_lines):
             row["gold"] = g
+    rows = [row for _, row in numbered]
     if dry_run:
         click.echo(f"dry-run: {len(rows)} sessions to run")
         return
+    for (n, _), row in zip(gold_lines, rows):
+        gold = row.get("gold")
+        if gold is None:
+            continue
+        verdict = validate(gold)
+        if not verdict:
+            raise rowio.InputError(gold_file, n, f"gold rule does not parse: {verdict.reason}")
     generator = ReplayGenerator(replay) if replay else HttpGenerator(endpoint, model)
     config = SessionConfig(max_generations=max_generations, reward=RewardConfig(omega=omega))
-    try:
-        summary = run_batch(rows, generator, out_path, config)
-    except EndpointUnavailable as exc:
-        raise EndpointError(str(exc))
+    summary = run_batch(rows, generator, out_path, config)
     click.echo(
         f"sessions {summary['sessions']}  failed {summary['failed']}  "
         f"experiences {summary['experiences']} -> {out_path}"

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .fol import literal_occurrences
+from . import rowio
+from .fol import camel_words, literal_occurrences
 from .parser import FolSyntaxError, parse, validate
 
 log = logging.getLogger(__name__)
@@ -26,6 +27,10 @@ log = logging.getLogger(__name__)
 
 class EndpointUnavailable(Exception):
     pass
+
+
+class ReplayExhausted(EndpointUnavailable):
+    """A replayed or scripted generator has no responses left."""
 
 
 class InsufficientCorpus(Exception):
@@ -36,16 +41,10 @@ class InsufficientCorpus(Exception):
 # tokenization helpers
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-_CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 
 
 def nl_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
-
-
-def camel_words(name: str) -> list[str]:
-    """Split a CamelCase or snake_case identifier into lowercase words."""
-    return [w.lower() for w in _CAMEL_RE.findall(name)]
 
 
 LONG_PREDICATE_WORDS = 4  # ColorChangedToRed is long; EUCountry is not
@@ -344,17 +343,18 @@ class ReplayGenerator:
     """Deterministic generator reading canned responses from a JSONL file.
 
     Each line is either a JSON string or an object with a "response" key.
-    Raises EndpointUnavailable when the replay is exhausted.
+    Raises ReplayExhausted when the replay is exhausted.
     """
 
     def __init__(self, path: str | Path):
         self.responses: list[str] = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                self.responses.append(row if isinstance(row, str) else row["response"])
+        for n, text in rowio.lines(path):
+            if not text.strip():
+                continue
+            value = rowio.loads(path, n, text)
+            if not isinstance(value, str):
+                value = rowio.check(path, n, value, ("response",))["response"]
+            self.responses.append(value)
         self.index = 0
 
     def remaining(self) -> int:
@@ -362,7 +362,7 @@ class ReplayGenerator:
 
     def generate(self, system: str, user: str) -> str:
         if self.index >= len(self.responses):
-            raise EndpointUnavailable("replay file exhausted")
+            raise ReplayExhausted("replay file exhausted")
         resp = self.responses[self.index]
         self.index += 1
         return resp
@@ -382,7 +382,7 @@ class ScriptedGenerator:
         if self.index >= len(self.responses):
             if self.cycle_last and self.responses:
                 return self.responses[-1]
-            raise EndpointUnavailable("script exhausted")
+            raise ReplayExhausted("script exhausted")
         resp = self.responses[self.index]
         self.index += 1
         return resp
@@ -390,7 +390,12 @@ class ScriptedGenerator:
 
 class HttpGenerator:
     """Chat-completions-style HTTP client; the API key comes from the
-    environment, never from flags or files."""
+    environment, never from flags or files.
+
+    Timeouts, connection errors, 429 and 5xx are retried (RFC 9110 §15);
+    any other error status or a malformed body raises EndpointUnavailable
+    at once.
+    """
 
     def __init__(
         self,
@@ -409,8 +414,13 @@ class HttpGenerator:
         self.backoff = backoff
 
     def generate(self, system: str, user: str) -> str:
-        import requests
+        # imported here: urllib.request adds about 30 ms to every start-up,
+        # and replay runs never use it
+        import http.client
+        import urllib.error
+        import urllib.request
 
+        url = f"{self.base_url}/chat/completions"
         payload = {
             "model": self.model,
             "messages": [
@@ -418,26 +428,36 @@ class HttpGenerator:
                 {"role": "user", "content": user},
             ],
         }
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                resp = requests.post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                data = resp.json()
-                return data["choices"][0]["message"]["content"]
-            except Exception as exc:  # noqa: BLE001 - every failure is retried
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    body = resp.read()
+                break
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code != 429 and exc.code < 500:
+                    raise EndpointUnavailable(f"{url}: HTTP {exc.code}") from exc
                 last_error = exc
-                if attempt < self.max_retries - 1:
-                    time.sleep(self.backoff * (attempt + 1))
-        raise EndpointUnavailable(str(last_error))
+            except OSError as exc:  # timeouts and connection errors, URLError included
+                last_error = exc
+            except http.client.HTTPException as exc:
+                raise EndpointUnavailable(f"{url}: bad HTTP response: {exc!r}") from exc
+            if attempt < self.max_retries - 1:
+                time.sleep(self.backoff * (attempt + 1))
+        else:
+            raise EndpointUnavailable(f"{url}: {last_error}")
+        try:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise EndpointUnavailable(f"{url}: malformed response body")
+        return content
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +494,11 @@ def run_collection(
     gate_path = out_dir / "gate.json"
 
     if gate is None:
-        if gate_path.exists():
-            gate = NgramGate.from_dict(json.loads(gate_path.read_text(encoding="utf-8")))
-        else:
-            gate = NgramGate()
+        gate = NgramGate.from_dict(rowio.document(gate_path)) if gate_path.exists() else NgramGate()
 
     accepted: list[tuple[str, str]] = []
     if accepted_path.exists():
-        with open(accepted_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    accepted.append((row["nl"], row["fol"]))
+        accepted = [(row["nl"], row["fol"]) for _, row in rowio.jsonl(accepted_path, ("nl", "fol"))]
 
     corpus = list(bootstrap) + accepted
     if max_calls is None:
@@ -505,13 +518,13 @@ def run_collection(
             bundle = assemble_prompt(gate, corpus, rng, include_breakdown)
             try:
                 response = generator.generate(bundle.system, bundle.user_text())
-            except EndpointUnavailable:
+            except ReplayExhausted:
                 stopped = "replay-exhausted"
                 break
             calls += 1
             candidates, malformed = parse_response(response)
             for rej in malformed:
-                rej_fh.write(json.dumps(rej, ensure_ascii=False) + "\n")
+                rowio.write(rej_fh, rej)
                 rejected_count += 1
             include_breakdown = any(has_long_predicate(fol) for _, fol in candidates)
             for nl, fol in candidates:
@@ -522,12 +535,9 @@ def run_collection(
                     gate.update(nl)
                     accepted.append((nl, fol))
                     corpus.append((nl, fol))
-                    acc_fh.write(json.dumps({"nl": nl, "fol": fol}, ensure_ascii=False) + "\n")
+                    rowio.write(acc_fh, {"nl": nl, "fol": fol})
                 else:
-                    rej_fh.write(
-                        json.dumps({"nl": nl, "fol": fol, "reason": verdict.reason}, ensure_ascii=False)
-                        + "\n"
-                    )
+                    rowio.write(rej_fh, {"nl": nl, "fol": fol, "reason": verdict.reason})
                     rejected_count += 1
 
     gate_path.write_text(json.dumps(gate.to_dict(), ensure_ascii=False), encoding="utf-8")

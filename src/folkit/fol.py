@@ -8,6 +8,7 @@ immutable, so rules can be shared freely across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -80,6 +81,14 @@ class Atom:
 def is_variable(name: str) -> bool:
     """Lexical convention: lowercase identifiers are variables, the rest constants."""
     return bool(name) and name[0].islower()
+
+
+_CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
+
+
+def camel_words(name: str) -> list[str]:
+    """Split a CamelCase or snake_case identifier into lowercase words."""
+    return [w.lower() for w in _CAMEL_RE.findall(name)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ correction), prompt formatting, corpus statistics, and score binning."""
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
@@ -13,6 +12,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import rowio
 from .fol import (
     AND,
     EXISTS,
@@ -108,18 +108,7 @@ def load_pairs(path: str | Path) -> list[tuple[str, str]]:
 
     Recognized keys per row: nl/fol, NL/FOL (case-insensitive).
     """
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if not text:
-        return []
-    if text.startswith("["):
-        rows = json.loads(text)
-    else:
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-    pairs = []
-    for row in rows:
-        lowered = {k.lower(): v for k, v in row.items()}
-        pairs.append((lowered["nl"], lowered["fol"]))
-    return pairs
+    return [(row["nl"], row["fol"]) for row in rowio.jsonl_or_array(path, ("nl", "fol"), fold_case=True)]
 
 
 def _steps_to_dicts(start: FolRule, steps: list[EditStep]) -> list[dict]:
@@ -201,18 +190,13 @@ def write_records(records: Iterable[CorrectionRecord], path: str | Path) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
+            rowio.write(fh, rec.to_dict())
             n += 1
     return n
 
 
 def read_records(path: str | Path) -> list[CorrectionRecord]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(CorrectionRecord.from_dict(json.loads(line)))
-    return out
+    return [CorrectionRecord.from_dict(row) for _, row in rowio.jsonl(path, ("nl", "fol_gold"))]
 
 
 # ---------------------------------------------------------------------------

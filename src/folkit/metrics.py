@@ -27,6 +27,7 @@ from .fol import (
     Literal,
     Negation,
     atoms,
+    is_variable,
     tokens,
 )
 from .parser import FolSyntaxError, parse
@@ -88,8 +89,6 @@ _VAR_PLACEHOLDER = "·"
 
 def _masked_text(atom: Atom) -> str:
     # variable names carry no meaning across rules; mask them before comparing
-    from .fol import is_variable
-
     args = [_VAR_PLACEHOLDER if is_variable(a) else a for a in atom.args]
     return f"{atom.predicate}({', '.join(args)})"
 

@@ -27,7 +27,9 @@ from .fol import (
     Group,
     Literal,
     Negation,
+    camel_words,
     is_variable,
+    literal_occurrences,
     print_canonical,
 )
 
@@ -41,6 +43,13 @@ class FolSyntaxError(Exception):
 
 
 BANNED_SYMBOLS = ("=", "≠", "%", "!")
+
+# Binary operators plus the parentheses of groups and negations, that is the
+# inner nodes of the tree, so this also bounds its depth. The parser takes seven
+# frames per nested parenthesis (about 710 at the bound) and the tree walkers in
+# fol, metrics and perturb one or two per level, so all stay under Python's
+# default recursion limit of 1000 with room for their callers' frames.
+MAX_OPERATORS = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -88,6 +97,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
     n = len(text)
+    operators = 0
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -98,6 +108,11 @@ def _tokenize(text: str) -> list[_Token]:
         kind = m.lastgroup
         if kind != "ws":
             name, value = _KIND_MAP[kind]
+            # a parenthesis right after a name opens a literal's arguments, not a node
+            if name == "OP" or (name == "LPAREN" and not (tokens and tokens[-1].kind == "IDENT")):
+                operators += 1
+                if operators > MAX_OPERATORS:
+                    raise FolSyntaxError(f"more than {MAX_OPERATORS} operators and parentheses", m.start())
             tokens.append(_Token(name, value if value is not None else m.group(), m.start()))
         pos = m.end()
     tokens.append(_Token("EOF", "", n))
@@ -221,30 +236,24 @@ class Verdict:
 
 
 def validate(text: str, max_predicate_words: int | None = None) -> Verdict:
-    """Check a string against the grammar; never raises.
+    """Check a value against the grammar; never raises.
 
     With max_predicate_words set (strict mode), rules whose predicate names
     split into more CamelCase words than the threshold are rejected too.
     """
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        return Verdict(False, "not text")
+    if not text.strip():
         return Verdict(False, "empty")
     try:
         rule = parse(text)
     except FolSyntaxError as exc:
         return Verdict(False, str(exc))
     if max_predicate_words is not None:
-        from .collect import camel_words  # local import to avoid a cycle
-
-        for lit in _all_literals(rule):
+        for lit in literal_occurrences(rule):
             if len(camel_words(lit.predicate)) > max_predicate_words:
                 return Verdict(False, f"predicate {lit.predicate!r} exceeds {max_predicate_words} words")
     return Verdict(True)
-
-
-def _all_literals(rule: FolRule):
-    from .fol import literal_occurrences
-
-    return literal_occurrences(rule)
 
 
 def roundtrip_stable(rule: FolRule) -> bool:

@@ -8,12 +8,12 @@ a reward-scored experience tuple per generation.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from . import rowio
 from .collect import Generator
 from .forge import (
     CORR_MARKER,
@@ -189,6 +189,6 @@ def run_batch(
             if state.status == "failed":
                 failed += 1
             for t in tuples:
-                fh.write(json.dumps(t.to_dict(), ensure_ascii=False) + "\n")
+                rowio.write(fh, t.to_dict())
                 experiences += 1
     return {"sessions": sessions, "failed": failed, "experiences": experiences}

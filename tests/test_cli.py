@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from folkit.cli import main
@@ -10,6 +11,11 @@ from folkit.forge import NO_CHANGES
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _write_bytes(path, data):
+    path.write_bytes(data)
     return str(path)
 
 
@@ -191,3 +197,97 @@ def test_dry_run_writes_nothing(tmp_path):
     )
     assert result.exit_code == 0
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# input contract: every malformed input exits 3 and names its location
+
+_CORRECT_RESPONSE = json.dumps(f"### Corrections:\n{NO_CHANGES}\n### FOL:\nP(A)")
+
+
+def _collect_argv(tmp_path, replay_text, run_files=None):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name, text in (run_files or {}).items():
+        _write(run / name, text)
+    return ["collect", "--target", "9", "--replay", _write(tmp_path / "replay.jsonl", replay_text),
+            "--bootstrap", _pairs_file(tmp_path), "--out-dir", str(run)]
+
+
+def _correct_argv(tmp_path, rows_text):
+    return ["correct", "--nl-fol-pred", _write(tmp_path / "rows.jsonl", rows_text),
+            "--replay", _write(tmp_path / "replay.jsonl", (_CORRECT_RESPONSE + "\n") * 3),
+            "--out", str(tmp_path / "out.jsonl")]
+
+
+def _forge_t2_argv(tmp_path, preds_text):
+    return ["forge", "--task", "t2", "--count", "20", "--in", _pairs_file(tmp_path),
+            "--predictions", _write(tmp_path / "preds.txt", preds_text), "--out", str(tmp_path / "o.jsonl")]
+
+
+_GOOD_ROW = json.dumps({"nl": "a", "pred": "P(A)", "gold": "P(A)"})
+
+# (case, argv builder, location in the error: file name and line, or both file names)
+MALFORMED = [
+    ("tsv-row-without-tab", lambda t: ["score", "--pairs", _write(t / "pairs.tsv", "P(A)\tP(A)\nP(A) P(B)\n")],
+     ["pairs.tsv:2:"]),
+    ("bins-bad-json", lambda t: ["bins", "--in", _write(t / "s.jsonl", '{"gpt_le": 1.0}\n{bad\n'),
+                                 "--edges", "1.0,0.0"], ["s.jsonl:2:"]),
+    ("correct-unparseable-gold", lambda t: _correct_argv(
+        t, _GOOD_ROW + "\n" + json.dumps({"nl": "a", "pred": "P(A)", "gold": "P(A) ="}) + "\n"), ["rows.jsonl:2:"]),
+    ("forge-row-without-fol", lambda t: ["forge", "--task", "t1", "--count", "1", "--in",
+                                         _write(t / "p.jsonl", '{"nl": "a", "fol": "P(A)"}\n{"nl": "b"}\n'),
+                                         "--out", str(t / "o.jsonl")], ["p.jsonl:2:"]),
+    ("stats-bad-json", lambda t: ["stats", "--in", _write(t / "p.jsonl", '{"nl": "a", "fol": "P(A)"}\n\nnope\n')],
+     ["p.jsonl:3:"]),
+    ("collect-bad-replay-line", lambda t: _collect_argv(t, '"ok"\n{oops\n'), ["replay.jsonl:2:"]),
+    ("collect-bad-accepted-on-resume", lambda t: _collect_argv(
+        t, '"ok"\n', {"accepted.jsonl": '{"nl": "a", "fol": "P(A)"}\ngarbage\n'}), ["accepted.jsonl:2:"]),
+    ("collect-bad-gate-on-resume", lambda t: _collect_argv(t, '"ok"\n', {"gate.json": '{"unigrams": '}),
+     ["gate.json:1:"]),
+    ("correct-row-without-pred", lambda t: _correct_argv(t, '{"nl": "a"}\n'), ["rows.jsonl:1:"]),
+    ("validate-fol-not-text", lambda t: ["validate", "--in", _write(t / "r.jsonl", 'P(A)\n{"fol": 5}\n')],
+     ["r.jsonl:2:"]),
+    ("validate-row-without-fol", lambda t: ["validate", "--in", _write(t / "r.jsonl", '{"nl": "a"}\n')],
+     ["r.jsonl:1:"]),
+    ("correct-row-is-array", lambda t: _correct_argv(t, _GOOD_ROW + "\n[1, 2]\n"), ["rows.jsonl:2:"]),
+    ("validate-not-utf8", lambda t: ["validate", "--in", _write_bytes(t / "r.txt", b"P(A)\n\xff(A)\n")],
+     ["r.txt:2:"]),
+    ("forge-too-few-predictions", lambda t: _forge_t2_argv(t, "P(A)\n"), ["preds.txt", "pairs.jsonl"]),
+    ("forge-empty-prediction", lambda t: _forge_t2_argv(t, "P(A)\nP(A)\n\nP(A)\nP(A)\n"), ["preds.txt:3:"]),
+    ("stats-array-element-not-object", lambda t: ["stats", "--in", _write(
+        t / "p.json", '[{"nl": "a", "fol": "P(A)"},\n 5]')], ["p.json:[1]:"]),
+    ("bins-group-key-not-a-number", lambda t: ["bins", "--in", _write(t / "s.jsonl", '{"gpt_le": "high"}\n'),
+                                               "--edges", "1.0,0.0"], ["s.jsonl:1:"]),
+]
+
+
+@pytest.mark.parametrize("build, where", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_3_with_location(tmp_path, build, where):
+    result = CliRunner().invoke(main, build(tmp_path))
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+    for text in where:
+        assert text in result.output
+
+
+@pytest.mark.parametrize("argv", [["perturb", "--n-perturb", "a,b"], ["perturb", "--n-correct", "1,x"],
+                                  ["bins", "--edges", "1.0,x"]])
+def test_bad_number_list_is_usage_error(tmp_path, argv):
+    result = CliRunner().invoke(main, argv + ["--in", _write(tmp_path / "in.txt", "P(A)\n")])
+    assert result.exit_code == 2
+    assert argv[1] in result.output
+
+
+def test_oversized_rules_are_invalid_and_oversized_gold_is_data_error(tmp_path):
+    deep = "(" * 200 + "P(A)" + ")" * 200
+    implications = " → ".join(f"P{i}(A)" for i in range(1001))
+    conjunctions = " ∧ ".join(f"P{i}(A)" for i in range(1200))
+    rules = _write(tmp_path / "rules.txt", "\n".join([deep, implications, conjunctions]) + "\n")
+    result = CliRunner().invoke(main, ["validate", "--in", rules])
+    assert result.exit_code == 0
+    assert "0 valid, 3 invalid" in result.output
+    pairs = _write(tmp_path / "pairs.tsv", f"P(A)\tP(A)\n{conjunctions}\tP(A)\n")
+    result = CliRunner().invoke(main, ["score", "--pairs", pairs])
+    assert result.exit_code == 3
+    assert "pairs.tsv:2:" in result.output

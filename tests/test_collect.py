@@ -1,13 +1,19 @@
 """Collection pipeline: gate, prompts, response parsing, acceptance, loop."""
 
+import http.server
 import json
 import random
+import threading
+from contextlib import contextmanager
 
 import pytest
+from click.testing import CliRunner
 
+from folkit.cli import main
 from folkit.collect import (
     BREAKDOWN_CLAUSE,
     EndpointUnavailable,
+    HttpGenerator,
     InsufficientCorpus,
     NgramGate,
     ReplayGenerator,
@@ -176,6 +182,63 @@ def test_replay_generator(tmp_path):
     assert gen.generate("s", "u") == "second"
     with pytest.raises(EndpointUnavailable):
         gen.generate("s", "u")
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted status; 200 carries a completion."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests += 1
+        status = self.server.statuses.pop(0)
+        body = json.dumps({"choices": [{"message": {"content": "hello"}}]}).encode() if status == 200 else b"{}"
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _stub_endpoint(monkeypatch, statuses):
+    """A chat-completions stub on 127.0.0.1; yields (server, base URL)."""
+    monkeypatch.setenv("no_proxy", "*")  # never route the stub through a proxy
+    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.statuses, server.requests = list(statuses), 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_port}/v1"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_http_generator_retries_server_errors(monkeypatch):
+    with _stub_endpoint(monkeypatch, [503, 200]) as (server, url):
+        assert HttpGenerator(url, backoff=0).generate("s", "u") == "hello"
+    assert server.requests == 2
+
+
+def test_http_generator_fails_fast_on_client_errors(monkeypatch):
+    with _stub_endpoint(monkeypatch, [400, 200]) as (server, url):
+        with pytest.raises(EndpointUnavailable):
+            HttpGenerator(url, backoff=0).generate("s", "u")
+    assert server.requests == 1
+
+
+def test_collect_endpoint_client_error_exits_4(monkeypatch, tmp_path):
+    bootstrap = tmp_path / "pairs.jsonl"
+    bootstrap.write_text("".join(json.dumps({"nl": nl, "fol": fol}) + "\n" for nl, fol in CORPUS), encoding="utf-8")
+    with _stub_endpoint(monkeypatch, [400]) as (server, url):
+        result = CliRunner().invoke(main, ["collect", "--target", "1", "--endpoint", url,
+                                           "--bootstrap", str(bootstrap), "--out-dir", str(tmp_path / "run")])
+    assert result.exit_code == 4, result.output
+    assert server.requests == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Grammar, canonical printing, and tree navigation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from folkit.fol import (
     Atom,
@@ -17,7 +19,8 @@ from folkit.fol import (
     replace_node,
     tokens,
 )
-from folkit.parser import FolSyntaxError, parse, roundtrip_stable, validate
+from folkit.metrics import reward, reward_detail
+from folkit.parser import MAX_OPERATORS, FolSyntaxError, parse, roundtrip_stable, validate
 
 
 def test_simple_literal():
@@ -146,3 +149,55 @@ def test_iter_locations_covers_every_node():
 def test_roundtrip_stable_on_parsed_rules():
     for text in ["∀x P(x)", "¬(P(A)) ↔ (Q(B) ⊕ R(C))", "∃z (Tall(z) ∧ ¬Short(z))"]:
         assert roundtrip_stable(parse(text))
+
+
+# ---------------------------------------------------------------------------
+# size bound: every recursive walker stays under the default recursion limit
+
+
+def _nested(n):
+    return "(" * n + "P(A)" + ")" * n
+
+
+def _chain(op, n_ops):
+    return f" {op} ".join(f"P{i}(A)" for i in range(n_ops + 1))
+
+
+@pytest.mark.parametrize("build, offending", [
+    (_nested, lambda text: MAX_OPERATORS),  # the first "(" past the bound
+    (lambda n: _chain("→", n), lambda text: text.rindex("→")),
+    (lambda n: _chain("∧", n), lambda text: text.rindex("∧")),
+], ids=["parentheses", "implication-chain", "conjunction-chain"])
+def test_operator_bound(build, offending):
+    at_bound = build(MAX_OPERATORS)
+    assert validate(at_bound)
+    assert roundtrip_stable(parse(at_bound))
+    assert reward_detail(at_bound, at_bound).bleu == 1.0
+    over = build(MAX_OPERATORS + 1)
+    assert not validate(over)
+    with pytest.raises(FolSyntaxError) as exc:
+        parse(over)
+    assert exc.value.pos == offending(over)
+
+
+_DIALECT_TOKENS = [
+    "∀x", "∃y", "forall z", "¬", "~", "∧", "&", "∨", "|", "⊕", "xor", "→", "->", "↔", "<->",
+    "(", ")", ",", "P", "Q(x)", "R(A, b)", "x", "A", "=", "%", "",
+]
+_OPS = ["∧", "∨", "⊕", "→", "↔"]
+
+_dialect_text = st.one_of(
+    st.lists(st.sampled_from(_DIALECT_TOKENS), max_size=40).map(" ".join),
+    st.builds(lambda n, neg: ("¬(" if neg else "(") * n + "P(A)" + ")" * n,
+              st.integers(0, 400), st.booleans()),
+    st.builds(lambda n, op: f" {op} ".join(["P(A)"] * n), st.integers(1, 1500), st.sampled_from(_OPS)),
+)
+
+
+@given(_dialect_text)
+def test_validate_never_raises_and_valid_rules_score(text):
+    verdict = validate(text)
+    if verdict:
+        assert reward(text, text) == 1.0
+    else:
+        assert verdict.reason
