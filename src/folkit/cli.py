@@ -33,7 +33,7 @@ from .forge import (
     load_pairs,
     write_records,
 )
-from .metrics import GoldUnparseable, RewardConfig, reward_detail
+from .metrics import MAX_ATOMS, GoldUnparseable, RewardConfig, reward_detail
 from .parser import FolSyntaxError, validate
 from .parser import parse as parse_fol
 from .perturb import (
@@ -201,8 +201,8 @@ def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
 @click.option("--gold", type=click.Path(exists=True), help="Gold rules, one per line.")
 @click.option("--pred", type=click.Path(exists=True), help="Predicted rules, line-aligned with --gold.")
 @click.option("--pairs", type=click.Path(exists=True), help="Alternatively: TSV or JSONL (gold, pred) pairs.")
-@click.option("--omega", default=0.7, show_default=True)
-@click.option("--max-atoms", default=16, show_default=True)
+@click.option("--omega", default=0.7, show_default=True, type=click.FloatRange(0.0, 1.0))
+@click.option("--max-atoms", default=16, show_default=True, type=click.IntRange(1, MAX_ATOMS))
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--dry-run", is_flag=True)
@@ -431,7 +431,7 @@ def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_thres
 @click.option("--model", default="gpt-4", show_default=True)
 @click.option("--replay", type=click.Path(exists=True), default=None)
 @click.option("--max-generations", default=10, show_default=True)
-@click.option("--omega", default=0.7, show_default=True)
+@click.option("--omega", default=0.7, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dry-run", is_flag=True)
 def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, omega, out_path, dry_run):

@@ -132,29 +132,39 @@ def forge_records(
 
     T1 carries NL and gold only; T2 carries a prediction as input (simulated
     by perturbation when no predictions are supplied); T3 carries a perturbed
-    rule with split previous/target correction steps.
+    rule with split previous/target correction steps. The inputs are checked
+    when this is called, before the first record is drawn.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    parsed: list[tuple[str, str, FolRule]] = []
+    parsed: list[tuple[int, str, str, FolRule]] = []  # (row, nl, gold text, gold rule)
     for i, (nl, fol) in enumerate(pairs):
         try:
             rule = parse(fol)
         except FolSyntaxError as exc:
             log.warning("skipping row %d, gold does not parse: %s", i, exc)
             continue
-        parsed.append((nl, print_canonical(rule), rule))
+        parsed.append((i, nl, print_canonical(rule), rule))
     if not parsed:
         raise GoldUnparseableRow("no parseable gold rules in input")
     if task == "t2" and predictions is not None and len(predictions) != len(pairs):
         raise MissingPrediction(
             f"{len(predictions)} predictions for {len(pairs)} pairs"
         )
+    return _forge(parsed, task, count, config, predictions, source)
 
+
+def _forge(
+    parsed: list[tuple[int, str, str, FolRule]],
+    task: str,
+    count: int,
+    config: PerturbConfig,
+    predictions: list[str] | None,
+    source: str,
+) -> Iterator[CorrectionRecord]:
     for i in range(count):
         rng = random.Random(f"{config.seed}:{i}")
-        idx = rng.randrange(len(parsed))
-        nl, gold_text, gold_rule = parsed[idx]
+        row, nl, gold_text, gold_rule = parsed[rng.randrange(len(parsed))]
         meta = {"seed": config.seed, "record": i, "source": source, "task": task}
 
         if task == "t1":
@@ -163,9 +173,9 @@ def forge_records(
 
         if task == "t2":
             if predictions is not None:
-                pred = predictions[idx]
+                pred = predictions[row]
                 if not pred:
-                    raise MissingPrediction(f"empty prediction for row {idx}")
+                    raise MissingPrediction(f"empty prediction for row {row}")
             else:
                 perturbed, _ = sample_perturbation(gold_rule, config, rng)
                 pred = print_canonical(perturbed)

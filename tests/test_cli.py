@@ -291,3 +291,26 @@ def test_oversized_rules_are_invalid_and_oversized_gold_is_data_error(tmp_path):
     result = CliRunner().invoke(main, ["score", "--pairs", pairs])
     assert result.exit_code == 3
     assert "pairs.tsv:2:" in result.output
+
+
+def test_forge_data_error_leaves_no_output_file(tmp_path):
+    pairs = _write(tmp_path / "pairs.jsonl", json.dumps({"nl": "a", "fol": "P(A) ="}) + "\n")
+    out = tmp_path / "o.jsonl"
+    result = CliRunner().invoke(main, ["forge", "--task", "t3", "--count", "3", "--in", pairs, "--out", str(out)])
+    assert result.exit_code == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["score", "--max-atoms", "0"], ["score", "--max-atoms", "21"],
+                                  ["score", "--omega", "2", "--dry-run"], ["score", "--omega", "-0.1"]])
+def test_score_reward_options_out_of_range_are_usage_errors(tmp_path, argv):
+    result = CliRunner().invoke(main, argv + ["--pairs", _write(tmp_path / "pairs.tsv", "P(A)\tP(A)\n")])
+    assert result.exit_code == 2, result.output
+    assert argv[1] in result.output
+
+
+def test_correct_omega_out_of_range_is_usage_error(tmp_path):
+    argv = _correct_argv(tmp_path, _GOOD_ROW + "\n") + ["--omega", "1.5", "--dry-run"]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "--omega" in result.output

@@ -219,3 +219,24 @@ def test_bin_scores_bad_edges():
         bin_scores([], [0.9, 0.5])
     with pytest.raises(ValueError):
         bin_scores([], [1.0, 0.5, 0.5])
+
+
+def test_t2_predictions_follow_their_pair_past_an_unparseable_gold():
+    pairs = [("a", "P(A) ="), ("b", "Q(B)"), ("c", "R(C)")]
+    preds = ["X(A)", "Q(B)", "R(C)"]
+    recs = list(forge_records(pairs, "t2", 20, predictions=preds))
+    assert {r.fol_gold for r in recs} == {"Q(B)", "R(C)"}
+    assert all(r.fol_input == r.fol_gold for r in recs)
+
+
+def test_empty_prediction_names_its_row():
+    pairs = [("a", "P(A) ="), ("b", "Q(B)")]
+    with pytest.raises(MissingPrediction, match="row 1"):
+        list(forge_records(pairs, "t2", 5, predictions=["X(A)", ""]))
+
+
+def test_inputs_are_checked_before_the_first_record():
+    with pytest.raises(GoldUnparseableRow):
+        forge_records([("bad", "P(x) =")], "t3", 1)
+    with pytest.raises(MissingPrediction):
+        forge_records(PAIRS, "t2", 1, predictions=["P(A)"])

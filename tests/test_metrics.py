@@ -9,9 +9,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from folkit.fol import atoms
 from folkit.metrics import (
+    MAX_ATOMS,
     GoldUnparseable,
     RewardConfig,
     TooManyAtoms,
@@ -247,3 +250,119 @@ def test_reward_config_validation():
         RewardConfig(omega=1.5)
     with pytest.raises(ValueError):
         RewardConfig(max_atoms=0)
+
+
+# ---------------------------------------------------------------------------
+# bit-parallel LE against the per-row loop it replaced
+
+
+def _reference_le(gold_text: str, pred_text: str, config: RewardConfig = RewardConfig()):
+    """The row-at-a-time search: same bindings, one truth-table row per loop turn.
+
+    Returns (score, rows_matched, binding pairs, binding cost).
+    """
+    from folkit.fol import BinaryOp, Group, Literal, Negation
+
+    def compile_body(node, index):
+        if isinstance(node, Literal):
+            k = index[(node.predicate, node.args)]
+            return (lambda v: not v[k]) if node.negated else (lambda v: v[k])
+        if isinstance(node, (Negation, Group)):
+            child = compile_body(node.child, index)
+            return (lambda v: not child(v)) if isinstance(node, Negation) else child
+        assert isinstance(node, BinaryOp)
+        left, right = compile_body(node.left, index), compile_body(node.right, index)
+        return {
+            "∧": lambda v: left(v) and right(v),
+            "∨": lambda v: left(v) or right(v),
+            "⊕": lambda v: left(v) != right(v),
+            "→": lambda v: (not left(v)) or right(v),
+            "↔": lambda v: left(v) == right(v),
+        }[node.op]
+
+    gold, pred = parse(gold_text), parse(pred_text)
+    p, q = atoms(gold), atoms(pred)
+    eval_p = compile_body(gold.body, {(a.predicate, a.args): i for i, a in enumerate(p)})
+    eval_q = compile_body(pred.body, {(a.predicate, a.args): i for i, a in enumerate(q)})
+    arity = max(len(p), len(q))
+    rows_total = 1 << arity
+    best = None
+    for binding in bind_atoms(p, q, config.search_cap):
+        matched = 0
+        for row in range(rows_total):
+            bits = [(row >> k) & 1 == 1 for k in range(arity)]
+            p_vals, q_vals = [False] * len(p), [False] * len(q)
+            for k, (pi, qi) in enumerate(binding.pairs):
+                if pi is not None:
+                    p_vals[pi] = bits[k]
+                if qi is not None:
+                    q_vals[qi] = bits[k]
+            matched += eval_p(p_vals) == eval_q(q_vals)
+        if best is None or matched > best[1] or (matched == best[1] and binding.cost < best[3]):
+            best = (matched / rows_total, matched, binding.pairs, binding.cost)
+            if matched == rows_total:
+                break
+    return best
+
+
+def _seeded_pair(seed: int, gold_literals: int, pred_literals: int, perturbed: bool) -> tuple[str, str]:
+    from folkit.perturb import PerturbConfig, sample_perturbation
+
+    rng = random.Random(seed)
+    gold = random_rule(rng, max_literals=gold_literals)
+    if perturbed:
+        pred, _ = sample_perturbation(gold, PerturbConfig(), rng)
+    else:
+        pred = random_rule(rng, max_literals=pred_literals)
+    return print_canonical(gold), print_canonical(pred)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.booleans(),
+    st.sampled_from([1, 2, 50, 1000]),
+)
+def test_le_matches_per_row_reference(seed, gold_literals, pred_literals, perturbed, search_cap):
+    gold, pred = _seeded_pair(seed, gold_literals, pred_literals, perturbed)
+    arity = max(len(atoms(parse(gold))), len(atoms(parse(pred))))
+    assume(arity <= 7)
+    config = RewardConfig(search_cap=search_cap)
+    got = le_score(gold, pred, config)
+    assert (got.score, got.rows_matched, got.binding.pairs, got.binding.cost) == _reference_le(gold, pred, config)
+    assert got.rows_total == 1 << arity
+
+
+def test_gold_atoms_fill_the_first_slots_of_every_binding():
+    # le_score evaluates the gold once because gold atom k is always in slot k
+    rng = random.Random(5)
+    for _ in range(40):
+        p = atoms(random_rule(rng, max_literals=rng.randint(1, 6)))
+        q = atoms(random_rule(rng, max_literals=rng.randint(1, 6)))
+        bindings = bind_atoms(p, q, search_cap=200)
+        assert bindings
+        for binding in bindings:
+            assert [pi for pi, _ in binding.pairs[: len(p)]] == list(range(len(p)))
+            assert all(pi is None for pi, _ in binding.pairs[len(p):])
+
+
+def test_le_large_pairs_under_default_config():
+    names = [f"P{i}(A)" for i in range(12)]
+    de_morgan = le_score("¬(" + " ∧ ".join(names) + ")", " ∨ ".join("¬" + n for n in names))
+    assert de_morgan.score == 1.0 and de_morgan.rows_total == 1 << 12
+    identity = " → ".join(f"Q{i}(x)" for i in range(16))
+    result = le_score(identity, identity)
+    assert result.score == 1.0 and result.rows_matched == 1 << 16
+    # no binding matches every row, so all 1000 are scored; all-true and all-false rows agree
+    full_search = le_score(" ∧ ".join(names), " ∨ ".join(names))
+    assert full_search.rows_matched == 2 and full_search.binding.cost == 0
+
+
+def test_reward_config_bounds():
+    with pytest.raises(ValueError):
+        RewardConfig(search_cap=0)
+    with pytest.raises(ValueError):
+        RewardConfig(max_atoms=MAX_ATOMS + 1)
+    assert RewardConfig(max_atoms=MAX_ATOMS).max_atoms == MAX_ATOMS
