@@ -245,7 +245,7 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--n-perturb", default="0,1,2,3,4,5,6,7,8,9,10", show_default=True, callback=_number_list(int))
 @click.option("--n-correct", default="0,1,2,3", show_default=True, callback=_number_list(int))
-@click.option("--negative-prob", default=0.2, show_default=True)
+@click.option("--negative-prob", default=0.2, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--dry-run", is_flag=True)
 def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dry_run):
@@ -296,7 +296,7 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--predictions", type=click.Path(exists=True), default=None,
               help="T2: model predictions, one per line, aligned with the input pairs.")
-@click.option("--negative-prob", default=0.2, show_default=True)
+@click.option("--negative-prob", default=0.2, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--dry-run", is_flag=True)
 def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, dry_run):
     """Forge training records from (NL, FOL) pairs."""
@@ -393,7 +393,7 @@ def bins_cmd(in_path, edges, group_key, out_path, dry_run):
 @click.option("--bootstrap", required=True, type=click.Path(exists=True),
               help="Initial (NL, FOL) pairs for few-shot sampling.")
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--align-threshold", default=0.5, show_default=True)
+@click.option("--align-threshold", default=0.5, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-calls", default=None, type=int)
 @click.option("--dry-run", is_flag=True)

@@ -62,40 +62,46 @@ def has_long_predicate(fol: str) -> bool:
 # n-gram gate
 
 
+def _ngrams(nl: str) -> tuple[list[str], list[str]]:
+    """The unigrams and the trigrams of an NL statement, in order."""
+    toks = nl_tokens(nl)
+    return toks, [" ".join(toks[i : i + 3]) for i in range(len(toks) - 2)]
+
+
 @dataclass
 class NgramGate:
     """Frequency counter over accepted NL statements.
 
     N-grams at or over their threshold are blocked from future generations.
-    Counts only ever grow, so the blocked list is monotone within a run.
+    Counts grow only through ``update``, which keeps the blocked sets current.
     """
 
     unigram_threshold: int = 500
     trigram_threshold: int = 250
     unigrams: Counter = field(default_factory=Counter)
     trigrams: Counter = field(default_factory=Counter)
+    _blocked_unigrams: set = field(init=False, repr=False, compare=False)
+    _blocked_trigrams: set = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._blocked_unigrams = {g for g, c in self.unigrams.items() if c >= self.unigram_threshold}
+        self._blocked_trigrams = {g for g, c in self.trigrams.items() if c >= self.trigram_threshold}
 
     def update(self, nl: str) -> None:
-        toks = nl_tokens(nl)
+        toks, tris = _ngrams(nl)
         self.unigrams.update(toks)
-        self.trigrams.update(" ".join(toks[i : i + 3]) for i in range(len(toks) - 2))
+        self.trigrams.update(tris)
+        self._blocked_unigrams.update(g for g in toks if self.unigrams[g] >= self.unigram_threshold)
+        self._blocked_trigrams.update(g for g in tris if self.trigrams[g] >= self.trigram_threshold)
 
     def blocked(self) -> list[str]:
-        uni = [g for g, c in self.unigrams.items() if c >= self.unigram_threshold]
-        tri = [g for g, c in self.trigrams.items() if c >= self.trigram_threshold]
-        return sorted(uni) + sorted(tri)
+        return sorted(self._blocked_unigrams) + sorted(self._blocked_trigrams)
 
     def find_blocked(self, nl: str) -> str | None:
-        toks = nl_tokens(nl)
-        blocked = set(self.blocked())
-        for t in toks:
-            if t in blocked:
-                return t
-        for i in range(len(toks) - 2):
-            tri = " ".join(toks[i : i + 3])
-            if tri in blocked:
-                return tri
-        return None
+        """The first blocked unigram of ``nl``, else its first blocked trigram."""
+        toks, tris = _ngrams(nl)
+        hits = [g for g in toks if g in self._blocked_unigrams] + [g for g in tris if g in self._blocked_trigrams]
+        return hits[0] if hits else None
 
     def to_dict(self) -> dict:
         return {
@@ -478,27 +484,26 @@ def run_collection(
     out_dir: str | Path,
     bootstrap: list[tuple[str, str]],
     rng,
-    gate: NgramGate | None = None,
     align_threshold: float = 0.5,
     max_calls: int | None = None,
 ) -> CollectionResult:
     """Loop assemble → generate → parse → accept until the target count.
 
-    State (accepted pairs, rejection log, gate snapshot) is persisted
-    incrementally under out_dir, and a rerun resumes from it.
+    Pairs go to accepted.jsonl and rejections to rejections.jsonl under
+    out_dir as they are judged. accepted.jsonl is the whole state: a rerun
+    resumes from it, folding ``NgramGate.update`` over its rows for the gate.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     accepted_path = out_dir / "accepted.jsonl"
     rejected_path = out_dir / "rejections.jsonl"
-    gate_path = out_dir / "gate.json"
 
-    if gate is None:
-        gate = NgramGate.from_dict(rowio.document(gate_path)) if gate_path.exists() else NgramGate()
-
+    gate = NgramGate()
     accepted: list[tuple[str, str]] = []
     if accepted_path.exists():
-        accepted = [(row["nl"], row["fol"]) for _, row in rowio.jsonl(accepted_path, ("nl", "fol"))]
+        for _, row in rowio.jsonl(accepted_path, ("nl", "fol")):
+            gate.update(row["nl"])
+            accepted.append((row["nl"], row["fol"]))
 
     corpus = list(bootstrap) + accepted
     if max_calls is None:
@@ -540,5 +545,4 @@ def run_collection(
                     rowio.write(rej_fh, {"nl": nl, "fol": fol, "reason": verdict.reason})
                     rejected_count += 1
 
-    gate_path.write_text(json.dumps(gate.to_dict(), ensure_ascii=False), encoding="utf-8")
     return CollectionResult(len(accepted), rejected_count, calls, stopped)

@@ -307,7 +307,7 @@ def reward_detail(gold: str, pred: str, config: RewardConfig = RewardConfig()) -
     except TooManyAtoms as exc:
         log.warning("LE skipped: %s", exc)
         le, notes = 0.0, [f"LE skipped: {exc}"]
-    bleu = fol_bleu(gold, pred)
+    bleu = _bleu_from_tokens(tokens(gold_rule), tokens(pred_rule))
     return RewardBreakdown(mix(le, bleu, config.omega), le, bleu, binding, notes)
 
 

@@ -84,11 +84,6 @@ def jsonl_or_array(path, fields: tuple[str, ...], fold_case: bool = False) -> It
         yield row(path, n, text, fields, fold_case)
 
 
-def document(path) -> dict:
-    """The JSON object that makes up a whole file."""
-    return check(path, 1, loads(path, 1, "\n".join(text for _, text in lines(path))))
-
-
 def write(fh: IO[str], value: dict) -> None:
     """Append one row to a JSONL stream."""
     fh.write(json.dumps(value, ensure_ascii=False) + "\n")

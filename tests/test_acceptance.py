@@ -329,7 +329,7 @@ def test_criterion_11_collector_gate(criterion, tmp_path):
             ReplayGenerator(replay), 3, out, _synthetic_pairs(10), random.Random(4)
         )
         outputs.append(
-            tuple((out / f).read_bytes() for f in ("accepted.jsonl", "rejections.jsonl", "gate.json"))
+            tuple((out / f).read_bytes() for f in ("accepted.jsonl", "rejections.jsonl"))
         )
     reproducible = outputs[0] == outputs[1] and result.accepted > 0
 

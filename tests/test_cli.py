@@ -163,6 +163,29 @@ def test_collect_replay(tmp_path):
     assert "accepted 1" in result.output
 
 
+@pytest.mark.parametrize("gate_text", ['{"unigrams": ', json.dumps({"unigram_threshold": 1, "unigrams": {"snow": 9}})],
+                         ids=["garbage", "stale"])
+def test_collect_ignores_gate_json(tmp_path, gate_text):
+    """The gate is rebuilt from accepted.jsonl; a gate.json in --out-dir is never read."""
+    pairs = _pairs_file(tmp_path)
+    responses = ["--- NL:\nSnow is white.\n---\n--- FOL:\nWhite(Snow)\n---", "--- NL:\nbroken\n---"]
+    replay = _write(tmp_path / "replay.jsonl", "".join(json.dumps(r) + "\n" for r in responses))
+    outputs = []
+    for name, files in (("plain", {}), ("with-gate", {"gate.json": gate_text})):
+        run = tmp_path / name
+        run.mkdir()
+        for file, text in files.items():
+            _write(run / file, text)
+        result = CliRunner().invoke(main, ["collect", "--target", "2", "--replay", replay, "--bootstrap", pairs,
+                                           "--out-dir", str(run), "--seed", "0"])
+        assert result.exit_code == 0, result.output
+        summary = [line for line in result.output.splitlines() if line.startswith("accepted ")]
+        outputs.append((summary, *((run / f).read_bytes() for f in ("accepted.jsonl", "rejections.jsonl"))))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == ["accepted 1  rejected 1  calls 2  stopped: replay-exhausted"]
+    assert (tmp_path / "with-gate" / "gate.json").read_text(encoding="utf-8") == gate_text
+
+
 def test_collect_requires_source(tmp_path):
     pairs = _pairs_file(tmp_path)
     result = CliRunner().invoke(
@@ -243,8 +266,6 @@ MALFORMED = [
     ("collect-bad-replay-line", lambda t: _collect_argv(t, '"ok"\n{oops\n'), ["replay.jsonl:2:"]),
     ("collect-bad-accepted-on-resume", lambda t: _collect_argv(
         t, '"ok"\n', {"accepted.jsonl": '{"nl": "a", "fol": "P(A)"}\ngarbage\n'}), ["accepted.jsonl:2:"]),
-    ("collect-bad-gate-on-resume", lambda t: _collect_argv(t, '"ok"\n', {"gate.json": '{"unigrams": '}),
-     ["gate.json:1:"]),
     ("correct-row-without-pred", lambda t: _correct_argv(t, '{"nl": "a"}\n'), ["rows.jsonl:1:"]),
     ("validate-fol-not-text", lambda t: ["validate", "--in", _write(t / "r.jsonl", 'P(A)\n{"fol": 5}\n')],
      ["r.jsonl:2:"]),
@@ -301,10 +322,23 @@ def test_forge_data_error_leaves_no_output_file(tmp_path):
     assert not out.exists()
 
 
+# the input options each command needs besides the option under test
+_RANGE_INPUTS = {
+    "score": lambda t: ["--pairs", _write(t / "pairs.tsv", "P(A)\tP(A)\n")],
+    "perturb": lambda t: ["--in", _write(t / "r.txt", "P(A)\n")],
+    "forge": lambda t: ["--task", "t3", "--count", "1", "--in", _pairs_file(t), "--out", str(t / "o.jsonl")],
+    "collect": lambda t: _collect_argv(t, '"ok"\n')[1:],
+}
+
+
 @pytest.mark.parametrize("argv", [["score", "--max-atoms", "0"], ["score", "--max-atoms", "21"],
-                                  ["score", "--omega", "2", "--dry-run"], ["score", "--omega", "-0.1"]])
+                                  ["score", "--omega", "2", "--dry-run"], ["score", "--omega", "-0.1"],
+                                  ["perturb", "--negative-prob", "2"], ["perturb", "--negative-prob", "-0.5"],
+                                  ["forge", "--negative-prob", "1.01"], ["collect", "--align-threshold", "1.5"],
+                                  ["collect", "--align-threshold", "-1"]])
 def test_score_reward_options_out_of_range_are_usage_errors(tmp_path, argv):
-    result = CliRunner().invoke(main, argv + ["--pairs", _write(tmp_path / "pairs.tsv", "P(A)\tP(A)\n")])
+    """Counts and fractions outside their range exit 2 and name the option, for every command."""
+    result = CliRunner().invoke(main, argv + _RANGE_INPUTS[argv[0]](tmp_path))
     assert result.exit_code == 2, result.output
     assert argv[1] in result.output
 

@@ -8,6 +8,8 @@ from contextlib import contextmanager
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from folkit.cli import main
 from folkit.collect import (
@@ -77,6 +79,49 @@ def test_gate_serialization_roundtrip():
     gate.update("one two three")
     again = NgramGate.from_dict(gate.to_dict())
     assert again == gate
+
+
+def _full_scan_blocked(gate):
+    """Reference: every n-gram at or over its threshold, found by a full scan."""
+    uni = [g for g, c in gate.unigrams.items() if c >= gate.unigram_threshold]
+    tri = [g for g, c in gate.trigrams.items() if c >= gate.trigram_threshold]
+    return sorted(uni) + sorted(tri)
+
+
+def _full_scan_find_blocked(gate, nl):
+    """Reference: the first blocked unigram of nl, else its first blocked trigram."""
+    toks = nl_tokens(nl)
+    blocked = set(_full_scan_blocked(gate))
+    for t in toks:
+        if t in blocked:
+            return t
+    for i in range(len(toks) - 2):
+        tri = " ".join(toks[i : i + 3])
+        if tri in blocked:
+            return tri
+    return None
+
+
+_GATE_WORDS = ["sun", "Moon", "star", "sky", "7"]
+_statements = st.lists(st.sampled_from(_GATE_WORDS), max_size=6).map(" ".join)
+_tokens = st.sampled_from(_GATE_WORDS).map(str.lower)
+_counts = st.integers(0, 5)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.dictionaries(_tokens, _counts),
+       st.dictionaries(st.lists(_tokens, min_size=3, max_size=3).map(" ".join), _counts),
+       st.lists(_statements, max_size=10), st.lists(_statements, min_size=1, max_size=4))
+def test_gate_reads_match_full_scan(uni_t, tri_t, unigrams, trigrams, updates, probes):
+    gates = [NgramGate(uni_t, tri_t), NgramGate.from_dict(
+        {"unigram_threshold": uni_t, "trigram_threshold": tri_t, "unigrams": unigrams, "trigrams": trigrams})]
+    for step in range(len(updates) + 1):
+        if step:
+            for gate in gates:
+                gate.update(updates[step - 1])
+        for gate in gates + [NgramGate.from_dict(g.to_dict()) for g in gates]:
+            assert gate.blocked() == _full_scan_blocked(gate)
+            for nl in probes + updates:
+                assert gate.find_blocked(nl) == _full_scan_find_blocked(gate, nl)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +310,7 @@ def test_run_collection_reaches_target(tmp_path):
         json.loads(l) for l in (tmp_path / "run" / "accepted.jsonl").read_text().splitlines()
     ]
     assert [a["fol"] for a in accepted] == ["Cat(Lily)", "∀x (Dog(x) → Barks(x))", "White(Snow)"]
-    assert (tmp_path / "run" / "gate.json").exists()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["accepted.jsonl", "rejections.jsonl"]
 
 
 def test_run_collection_resumes(tmp_path):
@@ -304,3 +349,74 @@ def test_long_predicate_triggers_breakdown_clause(tmp_path):
     run_collection(gen, 2, tmp_path / "run", CORPUS, random.Random(0))
     assert BREAKDOWN_CLAUSE not in gen.calls[0][1]
     assert BREAKDOWN_CLAUSE in gen.calls[1][1]
+
+
+def _seed_accepted(out, nls):
+    out.mkdir()
+    rows = "".join(json.dumps({"nl": nl, "fol": "Seen(A)"}) + "\n" for nl in nls)
+    (out / "accepted.jsonl").write_text(rows, encoding="utf-8")
+
+
+def test_resume_rebuilds_gate_from_accepted_rows(tmp_path):
+    """The out-dir of a run that exited 4 holds accepted.jsonl and no gate.json."""
+    out = tmp_path / "run"
+    _seed_accepted(out, [f"A zebra was seen on day {i}." for i in range(500)])
+    gen = ScriptedGenerator([_response_for("Every zebra has stripes.", "∀x (Zebra(x) → HasStripes(x))")])
+    result = run_collection(gen, 501, out, CORPUS, random.Random(0))
+    assert (result.accepted, result.stopped) == (500, "replay-exhausted")
+    rejections = [json.loads(l) for l in (out / "rejections.jsonl").read_text().splitlines()]
+    assert [r["reason"] for r in rejections] == ["blocked-ngram: zebra"]
+    user = gen.calls[0][1]
+    assert "DO NOT involve" in user and '"zebra"' in user
+
+
+class _DownAfter(ScriptedGenerator):
+    """A scripted generator whose endpoint goes down after k calls."""
+
+    def __init__(self, responses, k):
+        super().__init__(responses)
+        self.k = k
+
+    def generate(self, system, user):
+        if self.index >= self.k:
+            raise EndpointUnavailable("endpoint down")
+        return super().generate(system, user)
+
+
+# one block per response; the prior rows leave "zebra" and "cats chase mice" one short of blocked
+_RESUME_PRIOR = [f"Zebra {i} grazes." for i in range(499)] + [f"Cats chase mice {i}." for i in range(249)]
+_RESUME_RESPONSES = [
+    _response_for("A zebra has stripes.", "∀x (Zebra(x) → HasStripes(x))"),
+    _response_for("Cats chase mice at dusk.", "∀x (Cat(x) → Chase(x, Mice))"),
+    _response_for("Every zebra runs.", "∀x (Zebra(x) → Runs(x))"),
+    _response_for("Cats chase mice daily.", "∀x (Cat(x) → Chase(x, Mice))"),
+    _response_for("Birds sing.", "Sing(Birds) ="),
+    "--- NL:\nlonely statement\n---",
+    _response_for("Owls hunt at night.", "∀x (Owl(x) → Hunts(x))"),
+    _response_for("Totally unrelated.", "∀x (Octopus(x) → Tentacled(x))"),
+]
+
+
+def _resume_outputs(out):
+    return tuple((out / f).read_bytes() for f in ("accepted.jsonl", "rejections.jsonl"))
+
+
+def test_interrupted_run_resumes_to_the_uninterrupted_state(tmp_path):
+    target = len(_RESUME_PRIOR) + 10
+    whole = tmp_path / "whole"
+    _seed_accepted(whole, _RESUME_PRIOR)
+    result = run_collection(ScriptedGenerator(_RESUME_RESPONSES), target, whole, CORPUS, random.Random(0))
+    assert result.stopped == "replay-exhausted"
+    rejections = [json.loads(l) for l in (whole / "rejections.jsonl").read_text().splitlines()]
+    assert [r["reason"].split(":")[0] for r in rejections] == [
+        "blocked-ngram", "blocked-ngram", "syntax", "NL without FOL", "alignment"]
+    assert [r["reason"] for r in rejections[:2]] == ["blocked-ngram: zebra", "blocked-ngram: cats chase mice"]
+    expected = _resume_outputs(whole)
+
+    for k in range(len(_RESUME_RESPONSES) + 1):
+        out = tmp_path / f"down-after-{k}"
+        _seed_accepted(out, _RESUME_PRIOR)
+        with pytest.raises(EndpointUnavailable):
+            run_collection(_DownAfter(_RESUME_RESPONSES, k), target, out, CORPUS, random.Random(0))
+        run_collection(ScriptedGenerator(_RESUME_RESPONSES[k:]), target, out, CORPUS, random.Random(1))
+        assert _resume_outputs(out) == expected, f"endpoint down after {k} calls"
