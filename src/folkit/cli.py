@@ -36,12 +36,7 @@ from .forge import (
 from .metrics import MAX_ATOMS, GoldUnparseable, RewardConfig, reward_detail
 from .parser import FolSyntaxError, validate
 from .parser import parse as parse_fol
-from .perturb import (
-    PerturbConfig,
-    render_fix_steps,
-    sample_perturbation,
-    step_to_dict,
-)
+from .perturb import PerturbConfig, _sample_with_texts, step_to_dict
 from .session import SessionConfig, run_batch
 
 log = logging.getLogger("folkit")
@@ -270,12 +265,11 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
     try:
         for i, rule in enumerate(rules):
             rng = random.Random(f"{seed}:{i}")
-            perturbed, steps = sample_perturbation(rule, config, rng)
-            texts_rendered = render_fix_steps(perturbed, steps)
+            perturbed, steps, texts = _sample_with_texts(rule, config, rng)
             record = {
                 "original": print_canonical(rule),
                 "perturbed": print_canonical(perturbed),
-                "steps_to_fix": [step_to_dict(s, t) for s, t in zip(steps, texts_rendered)],
+                "steps_to_fix": [step_to_dict(s, t) for s, t in zip(steps, texts)],
             }
             rowio.write(out_fh, record)
     finally:

@@ -513,8 +513,10 @@ def run_collection(
     include_breakdown = False
     stopped = "target"
 
-    with open(accepted_path, "a", encoding="utf-8") as acc_fh, open(
-        rejected_path, "a", encoding="utf-8"
+    # line-buffered, so a row reaches the file as soon as it is judged and a
+    # killed run loses no pair it already paid for
+    with open(accepted_path, "a", encoding="utf-8", buffering=1) as acc_fh, open(
+        rejected_path, "a", encoding="utf-8", buffering=1
     ) as rej_fh:
         while len(accepted) < target:
             if calls >= max_calls:

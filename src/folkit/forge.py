@@ -33,10 +33,9 @@ from .fol import (
 from .parser import FolSyntaxError, parse
 from .perturb import (
     NO_CHANGES,
-    EditStep,
     PerturbConfig,
+    _sample_with_texts,
     apply_step,
-    render_fix_steps,
     sample_perturbation,
     split_iteration,
     step_from_dict,
@@ -111,11 +110,6 @@ def load_pairs(path: str | Path) -> list[tuple[str, str]]:
     return [(row["nl"], row["fol"]) for row in rowio.jsonl_or_array(path, ("nl", "fol"), fold_case=True)]
 
 
-def _steps_to_dicts(start: FolRule, steps: list[EditStep]) -> list[dict]:
-    texts = render_fix_steps(start, steps)
-    return [step_to_dict(s, t) for s, t in zip(steps, texts)]
-
-
 # ---------------------------------------------------------------------------
 # forging
 
@@ -182,9 +176,9 @@ def _forge(
             yield CorrectionRecord(nl, gold_text, pred, [], [], meta)
             continue
 
-        perturbed, fix_steps = sample_perturbation(gold_rule, config, rng)
+        perturbed, fix_steps, texts = _sample_with_texts(gold_rule, config, rng)
         prev, target = split_iteration(fix_steps, config, rng)
-        all_dicts = _steps_to_dicts(perturbed, fix_steps)
+        all_dicts = [step_to_dict(s, t) for s, t in zip(fix_steps, texts)]
         meta.update({"n_perturb": len(fix_steps), "n_correct": len(target)})
         yield CorrectionRecord(
             nl,

@@ -30,7 +30,6 @@ from .fol import (
     camel_words,
     is_variable,
     literal_occurrences,
-    print_canonical,
 )
 
 
@@ -108,8 +107,12 @@ def _tokenize(text: str) -> list[_Token]:
         kind = m.lastgroup
         if kind != "ws":
             name, value = _KIND_MAP[kind]
-            # a parenthesis right after a name opens a literal's arguments, not a node
-            if name == "OP" or (name == "LPAREN" and not (tokens and tokens[-1].kind == "IDENT")):
+            # a parenthesis right after a predicate name opens a literal's arguments,
+            # not a node; after a quantified variable it opens the body
+            opens_args = tokens and tokens[-1].kind == "IDENT" and not (
+                len(tokens) > 1 and tokens[-2].kind == "QUANT"
+            )
+            if name == "OP" or (name == "LPAREN" and not opens_args):
                 operators += 1
                 if operators > MAX_OPERATORS:
                     raise FolSyntaxError(f"more than {MAX_OPERATORS} operators and parentheses", m.start())
@@ -256,9 +259,58 @@ def validate(text: str, max_predicate_words: int | None = None) -> Verdict:
     return Verdict(True)
 
 
+# binding strength of each binary operator (higher binds tighter) and the side
+# on which an operator nests under itself without parentheses
+_STRENGTH = {op: level for level, (op, _) in enumerate(_LEVELS)}
+_ASSOC_SIDE = {op: assoc for op, assoc in _LEVELS}
+
+
+def _is_name(name: str) -> bool:
+    """A name that _tokenize reads back as one identifier, not a keyword."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.lastgroup == "ident"
+
+
+def _nests_bare(parent: str, child: FormulaNode, side: str) -> bool:
+    """A child printed without parentheses parses back under the parent operator."""
+    if not isinstance(child, BinaryOp):
+        return True
+    strength = _STRENGTH.get(child.op, -1)
+    return strength > _STRENGTH[parent] or (child.op == parent and _ASSOC_SIDE[parent] == side)
+
+
 def roundtrip_stable(rule: FolRule) -> bool:
-    """True when printing then reparsing reproduces the identical tree."""
-    try:
-        return parse(print_canonical(rule)) == rule
-    except FolSyntaxError:
-        return False
+    """True when printing then reparsing reproduces the identical tree.
+
+    Decided on the tree, without printing (Ramsey, "Unparsing expressions
+    with prefix and postfix operators", SP&E 1998): the prefix quantifies
+    distinct lowercase names; every name is an identifier and no keyword;
+    every literal has arguments; every bare BinaryOp child binds tighter than
+    its parent, or is the same operator on its associative side; and the rule
+    has at most MAX_OPERATORS binary operators, groups and negations, the
+    nodes whose symbols _tokenize counts.
+    """
+    seen = set()
+    for quant, var in rule.prefix:
+        if quant not in (FORALL, EXISTS) or not _is_name(var) or not is_variable(var) or var in seen:
+            return False
+        seen.add(var)
+    operators = 0
+    stack = [rule.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Literal):
+            if not node.args or not _is_name(node.predicate) or not all(map(_is_name, node.args)):
+                return False
+            continue
+        operators += 1
+        if isinstance(node, BinaryOp):
+            if node.op not in _STRENGTH or not (
+                _nests_bare(node.op, node.left, "left") and _nests_bare(node.op, node.right, "right")
+            ):
+                return False
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            stack.append(node.child)
+    return operators <= MAX_OPERATORS

@@ -9,6 +9,7 @@ replayed from text.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -28,7 +29,6 @@ from .fol import (
     iter_locations,
     literal_occurrences,
     node_text,
-    print_canonical,
     replace_node,
 )
 from .parser import parse, roundtrip_stable
@@ -218,10 +218,10 @@ def _apply(rule: FolRule, step: EditStep) -> FolRule:
     raise ValueError(f"unknown edit kind {step.kind!r}")
 
 
-def apply_step(rule: FolRule, step: EditStep, check: bool = True) -> FolRule:
+def apply_step(rule: FolRule, step: EditStep) -> FolRule:
     """Apply one edit, returning a new rule; the input is never mutated."""
     new_rule = _apply(rule, step)
-    if check and not roundtrip_stable(new_rule):
+    if not roundtrip_stable(new_rule):
         raise WouldProduceInvalid(
             f"{step.kind} at {step.loc!r} would break print-parse stability"
         )
@@ -269,7 +269,11 @@ def render_step(rule: FolRule, step: EditStep) -> str:
 
 
 def render_fix_steps(start: FolRule, steps: list[EditStep]) -> list[str]:
-    """Render a correction sequence, tracking the intermediate trees."""
+    """Render a correction sequence, tracking the intermediate trees.
+
+    Sampling renders its own fix steps as it goes; this serves a sequence
+    that comes from elsewhere.
+    """
     out = []
     cur = start
     for step in steps:
@@ -281,7 +285,6 @@ def render_fix_steps(start: FolRule, steps: list[EditStep]) -> list[str]:
 # ---------------------------------------------------------------------------
 # sampling
 
-_SYNTH_PREDICATES = [f"R{i}" for i in range(1, 100)]
 _SYNTH_CONSTANTS = [f"C{i}" for i in range(1, 100)]
 _VAR_NAMES = ["x", "y", "z", "u", "v", "w"] + [f"x{i}" for i in range(1, 50)]
 
@@ -332,7 +335,7 @@ def _fresh_variable(rule: FolRule, rng: random.Random) -> str:
 
 def _fresh_predicate(rule: FolRule, rng: random.Random) -> str:
     used = set(_predicates(rule))
-    return next(p for p in _SYNTH_PREDICATES if p not in used)
+    return next(p for p in (f"R{i}" for i in itertools.count(1)) if p not in used)
 
 
 def _term_pool(rule: FolRule, exclude: str | None = None) -> list[str]:
@@ -479,20 +482,38 @@ def sample_perturbation(
     empty step list.  Applying the returned steps in order to the perturbed
     rule reproduces the input exactly.
     """
+    perturbed, fixes, _ = _sample_with_texts(rule, config, rng)
+    return perturbed, fixes
+
+
+def _sample_with_texts(
+    rule: FolRule, config: PerturbConfig, rng: random.Random | None
+) -> tuple[FolRule, list[EditStep], list[str]]:
+    """sample_perturbation, with the fix steps also rendered as text.
+
+    Fix step j undoes forward step n-1-j, so it applies to the tree held
+    right after that forward step and is rendered against it there; the
+    texts equal render_fix_steps(perturbed, fixes).
+    """
     if rng is None:
         rng = random.Random(config.seed)
     if rng.random() < config.negative_prob:
-        return rule, []
+        return rule, [], []
     choices = [c for c in config.n_perturb_choices if c > 0]
     if not choices:
-        return rule, []
+        return rule, [], []
     n = rng.choice(choices)
-    applied: list[EditStep] = []
+    fixes: list[EditStep] = []
+    texts: list[str] = []
     cur = rule
     for _ in range(n):
         step, cur = _sample_step(cur, rng)
-        applied.append(step)
-    return cur, [inverse(s) for s in reversed(applied)]
+        fix = inverse(step)
+        fixes.append(fix)
+        texts.append(render_step(cur, fix))
+    fixes.reverse()
+    texts.reverse()
+    return cur, fixes, texts
 
 
 def split_iteration(

@@ -92,6 +92,23 @@ def test_perturb_records(tmp_path):
         assert row["perturbed"] != row["original"] or not row["steps_to_fix"]
 
 
+_ALL_SYNTHETIC_NAMES = " ∧ ".join(f"R{i}(A)" for i in range(1, 100))  # 98 operators, within the bound
+
+
+def test_perturb_and_forge_when_every_synthetic_predicate_is_taken(tmp_path):
+    rules = _write(tmp_path / "rules.txt", _ALL_SYNTHETIC_NAMES + "\n")
+    out = tmp_path / "perturbed.jsonl"
+    result = CliRunner().invoke(main, ["perturb", "--in", rules, "--out", str(out), "--seed", "3"])
+    assert result.exit_code == 0, result.output
+    assert "R100(A)" in out.read_text(encoding="utf-8")
+    pairs = _write(tmp_path / "pairs.jsonl", json.dumps({"nl": "Every R holds of A.", "fol": _ALL_SYNTHETIC_NAMES}) + "\n")
+    out = tmp_path / "t3.jsonl"
+    result = CliRunner().invoke(
+        main, ["forge", "--task", "t3", "--count", "20", "--in", pairs, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 20
+
+
 def test_perturb_bad_rule_is_data_error(tmp_path):
     rules = _write(tmp_path / "rules.txt", "broken =\n")
     result = CliRunner().invoke(main, ["perturb", "--in", rules])

@@ -2,9 +2,13 @@
 
 import http.server
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -420,3 +424,33 @@ def test_interrupted_run_resumes_to_the_uninterrupted_state(tmp_path):
             run_collection(_DownAfter(_RESUME_RESPONSES, k), target, out, CORPUS, random.Random(0))
         run_collection(ScriptedGenerator(_RESUME_RESPONSES[k:]), target, out, CORPUS, random.Random(1))
         assert _resume_outputs(out) == expected, f"endpoint down after {k} calls"
+
+
+# the child runs a collection whose generator kills the process at call k
+_KILLED_RUN = """
+import json, os, random, sys
+from folkit.collect import ScriptedGenerator, run_collection
+
+out, k, responses, corpus = json.loads(sys.argv[1])
+
+class KilledAt(ScriptedGenerator):
+    def generate(self, system, user):
+        if self.index == k:
+            os._exit(17)
+        return super().generate(system, user)
+
+run_collection(KilledAt(responses), 1000, out, [tuple(p) for p in corpus], random.Random(0))
+"""
+
+
+def test_killed_run_keeps_every_judged_row(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for k in range(1, len(_RESUME_RESPONSES) + 1):
+        judged = tmp_path / f"judged-{k}"
+        run_collection(ScriptedGenerator(_RESUME_RESPONSES[:k]), 1000, judged, CORPUS, random.Random(0))
+        killed = tmp_path / f"killed-{k}"
+        arg = json.dumps([str(killed), k, _RESUME_RESPONSES, CORPUS])
+        proc = subprocess.run([sys.executable, "-c", _KILLED_RUN, arg], capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 17, proc.stderr.decode()
+        assert _resume_outputs(killed) == _resume_outputs(judged), f"killed at call {k}"

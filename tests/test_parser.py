@@ -1,7 +1,9 @@
 """Grammar, canonical printing, and tree navigation."""
 
+from itertools import product
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkit.fol import (
@@ -165,9 +167,10 @@ def _chain(op, n_ops):
 
 @pytest.mark.parametrize("build, offending", [
     (_nested, lambda text: MAX_OPERATORS),  # the first "(" past the bound
+    (lambda n: "∀x " + _nested(n), lambda text: 3 + MAX_OPERATORS),  # the body's "(" counts too
     (lambda n: _chain("→", n), lambda text: text.rindex("→")),
     (lambda n: _chain("∧", n), lambda text: text.rindex("∧")),
-], ids=["parentheses", "implication-chain", "conjunction-chain"])
+], ids=["parentheses", "parentheses-after-prefix", "implication-chain", "conjunction-chain"])
 def test_operator_bound(build, offending):
     at_bound = build(MAX_OPERATORS)
     assert validate(at_bound)
@@ -201,3 +204,80 @@ def test_validate_never_raises_and_valid_rules_score(text):
         assert reward(text, text) == 1.0
     else:
         assert verdict.reason
+
+
+# ---------------------------------------------------------------------------
+# roundtrip_stable decides on the tree what printing and reparsing would
+
+
+def _reparses_to_itself(rule):
+    """The reference: print, then parse back."""
+    try:
+        return parse(print_canonical(rule)) == rule
+    except FolSyntaxError:
+        return False
+
+
+_GOOD_NAMES = ["P", "Q", "x", "y", "A", "x1", "_a", "Likes", "camelCase", "X", "forallx", "xor_", "Exists"]
+_BAD_NAMES = [
+    "forall", "exists", "xor",  # keywords
+    "é", "Père", "x²", "ℕ", "Ωx",  # non-ASCII
+    "", "a b", "1x", "x-y", "∀", "P(A)",  # not one identifier
+]
+_name = st.one_of(st.sampled_from(_GOOD_NAMES), st.sampled_from(_GOOD_NAMES + _BAD_NAMES))
+_literal = st.builds(Literal, _name, st.lists(_name, max_size=3).map(tuple), st.booleans())
+_formula = st.recursive(
+    _literal,
+    lambda kids: st.one_of(
+        st.builds(Negation, kids),
+        st.builds(Group, kids),
+        st.builds(BinaryOp, st.sampled_from(_OPS), kids, kids),
+    ),
+    max_leaves=8,
+)
+_prefix = st.lists(st.tuples(st.sampled_from(["∀", "∃", "forall"]), _name), max_size=3).map(tuple)
+
+
+def _bare_nest(parent, child, side, leaf=Literal("P", ("A",))):
+    inner = BinaryOp(child, leaf, leaf)
+    return BinaryOp(parent, inner, leaf) if side == "left" else BinaryOp(parent, leaf, inner)
+
+
+def _sized(n, kinds):
+    """A body with exactly n operators, groups and negations, wrapped around one literal."""
+    node = Literal("P", ("A",))
+    for kind in kinds[:n]:
+        if kind == "group":
+            node = Group(node)
+        elif kind == "negation":
+            node = Negation(node)
+        else:
+            node = BinaryOp(kind, node, Literal("Q", ("B",)))
+    return node
+
+
+_bounded = st.builds(
+    _sized,
+    st.sampled_from([MAX_OPERATORS - 1, MAX_OPERATORS, MAX_OPERATORS + 1]),
+    st.lists(st.sampled_from(["group", "negation", "∧"]), min_size=MAX_OPERATORS + 1, max_size=MAX_OPERATORS + 1),
+)
+
+
+def test_roundtrip_stable_on_every_bare_operator_pair():
+    for parent, child, side in product(_OPS, _OPS, ("left", "right")):
+        rule = FolRule((), _bare_nest(parent, child, side))
+        assert roundtrip_stable(rule) == _reparses_to_itself(rule), (parent, child, side)
+
+
+_rules = st.one_of(
+    st.builds(FolRule, _prefix, _formula),
+    st.builds(lambda prefix, p, c, side: FolRule(prefix, _bare_nest(p, c, side)),
+              _prefix, st.sampled_from(_OPS), st.sampled_from(_OPS), st.sampled_from(["left", "right"])),
+    st.builds(FolRule, st.sampled_from([(), (("∀", "x"),)]), _bounded),
+)
+
+
+@settings(max_examples=600)
+@given(_rules)
+def test_roundtrip_stable_matches_reparse(rule):
+    assert roundtrip_stable(rule) == _reparses_to_itself(rule)

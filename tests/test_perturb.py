@@ -12,6 +12,7 @@ from folkit.perturb import (
     EditStep,
     PerturbConfig,
     WouldProduceInvalid,
+    _sample_with_texts,
     apply_step,
     inverse,
     random_rule,
@@ -206,6 +207,16 @@ def test_render_fix_steps_tracks_intermediate_trees():
         "Change the predicate 'P' to 'Q' in 'P(A)'",
         "Change the predicate 'Q' to 'R' in 'Q(A)'",
     ]
+
+
+def test_sampled_texts_equal_rendering_the_fix_steps():
+    """Texts rendered while sampling equal a second pass over the fix steps."""
+    for i in range(300):
+        rule = random_rule(random.Random(i), max_literals=6)
+        config = PerturbConfig(negative_prob=0.1)
+        perturbed, fixes, texts = _sample_with_texts(rule, config, random.Random(f"one-pass:{i}"))
+        assert (perturbed, fixes) == sample_perturbation(rule, config, random.Random(f"one-pass:{i}"))
+        assert texts == render_fix_steps(perturbed, fixes)
 
 
 def test_no_changes_sentinel():
