@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import sys
 from multiprocessing import Pool
@@ -198,7 +199,7 @@ def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
 @click.option("--pairs", type=click.Path(exists=True), help="Alternatively: TSV or JSONL (gold, pred) pairs.")
 @click.option("--omega", default=0.7, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--max-atoms", default=16, show_default=True, type=click.IntRange(1, MAX_ATOMS))
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(1, os.cpu_count()))
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--dry-run", is_flag=True)
 def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
@@ -424,7 +425,7 @@ def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_thres
 @click.option("--endpoint", default=None)
 @click.option("--model", default="gpt-4", show_default=True)
 @click.option("--replay", type=click.Path(exists=True), default=None)
-@click.option("--max-generations", default=10, show_default=True)
+@click.option("--max-generations", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--omega", default=0.7, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dry-run", is_flag=True)
@@ -432,8 +433,9 @@ def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, om
     """Run iterative correction sessions and stream experience tuples."""
     if not replay and not endpoint:
         raise click.UsageError("provide --endpoint or --replay")
-    _log_config("correct", in_path=in_path, gold_path=gold_path, endpoint=endpoint,
-                replay=replay, max_generations=max_generations, out_path=out_path, dry_run=dry_run)
+    _log_config("correct", in_path=in_path, gold_path=gold_path, endpoint=endpoint, model=model,
+                replay=replay, max_generations=max_generations, omega=omega, out_path=out_path,
+                dry_run=dry_run)
     numbered = list(rowio.jsonl(in_path, ("nl", "pred")))
     gold_file, gold_lines = in_path, numbered  # the file and lines each row's gold comes from
     if gold_path:

@@ -5,6 +5,12 @@ aligns the two input lists with a greedy edit-distance binding (padded with
 dummies when the counts differ), and scores the fraction of truth-table
 rows on which the two circuits agree, maximized over the bindings explored.
 
+Bindings are generated one at a time in that greedy order, so a search that
+meets a binding matching every row stops there and builds no other; the
+distances behind the order are computed once per call, by Myers' bit-vector
+algorithm (JACM 1999), in which one integer holds a whole column of the edit
+distance matrix.
+
 Truth tables are bit strings (Knuth, TAOCP 4A §7.1): slot k of a binding is
 one integer whose bit r is (r >> k) & 1, so a body is evaluated over all 2^n
 rows at once, the gold once per call and the prediction once per binding.
@@ -17,6 +23,8 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from .fol import (
     AND,
@@ -103,59 +111,77 @@ def _masked_text(atom: Atom) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
+    """Edit distance, by Myers' bit-vector algorithm (JACM 1999) in Hyyrö's form.
+
+    Column j of the DP matrix over b (rows) and a (columns) is held as two
+    ints: bit i of ``pv`` / ``mv`` is set when D[i+1][j] - D[i][j] is +1 / -1.
+    Each character of a advances the column in a few word operations, so the
+    distance is D[len(b)][len(a)] = len(a) + popcount(pv) - popcount(mv).
+    """
     if a == b:
         return 0
     if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+        a, b = b, a  # the shorter string sets the column height
+    if not b:
+        return len(a)
+    mask = (1 << len(b)) - 1
+    peq: dict[str, int] = {}  # bit i set where b[i] is the character
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | 1 << i
+    pv, mv = mask, 0
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) << 1 | 1  # row 0 of the matrix rises by 1 per column
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
-def bind_atoms(p: list[Atom], q: list[Atom], search_cap: int = 1000) -> list[Binding]:
-    """Candidate bindings, greedy-preferred first.
+def iter_bindings(p: list[Atom], q: list[Atom]) -> Iterator[Binding]:
+    """Candidate bindings, greedy-preferred first, built one at a time.
 
     Iterates the first list in order, pairing each atom with its unclaimed
     minimum-edit-distance partner; alternatives (including dummy pairing when
-    the lists differ in length) are explored depth-first until search_cap
-    bindings have been produced.
+    the first list is longer, tried after every real partner) follow
+    depth-first. Partners are sorted by distance once per atom, and a stable
+    sort keeps ties in index order, so skipping claimed partners gives the
+    order that sorting the unclaimed ones at each step would.
     """
     n_p, n_q = len(p), len(q)
     arity = max(n_p, n_q)
-    dummies = max(0, n_p - n_q)
-    dist = [[levenshtein(_masked_text(pa), _masked_text(qa)) for qa in q] for pa in p]
+    q_texts = [_masked_text(a) for a in q]
+    dist = [[levenshtein(p_text, q_text) for q_text in q_texts] for p_text in map(_masked_text, p)]
+    dummy: list[int | None] = [None] if n_p > n_q else []
+    order = [sorted(range(n_q), key=row.__getitem__) + dummy for row in dist]
+    partner: list[int | None] = [None] * n_p
+    claimed = [False] * n_q
 
-    results: list[Binding] = []
-
-    def search(i: int, claimed: set[int], dummies_left: int, acc: list[tuple[int | None, int | None]]):
-        if len(results) >= search_cap:
-            return
+    def search(i: int, dummies_left: int) -> Iterator[Binding]:
         if i == n_p:
-            leftover = [(None, j) for j in range(n_q) if j not in claimed]
-            cost = sum(dist[pi][qi] for pi, qi in acc if pi is not None and qi is not None)
-            results.append(Binding(tuple(acc + leftover), arity, cost))
+            leftover = [(None, j) for j in range(n_q) if not claimed[j]]
+            cost = sum(dist[pi][qi] for pi, qi in enumerate(partner) if qi is not None)
+            yield Binding((*enumerate(partner), *leftover), arity, cost)
             return
-        choices: list[int | None] = sorted(
-            (j for j in range(n_q) if j not in claimed), key=lambda j: dist[i][j]
-        )
-        if dummies_left > 0:
-            choices.append(None)  # dummy pairing, tried after all real partners
-        for j in choices:
-            if len(results) >= search_cap:
-                return
+        for j in order[i]:
             if j is None:
-                search(i + 1, claimed, dummies_left - 1, acc + [(i, None)])
-            else:
-                claimed.add(j)
-                search(i + 1, claimed, dummies_left, acc + [(i, j)])
-                claimed.discard(j)
+                if dummies_left > 0:
+                    partner[i] = None
+                    yield from search(i + 1, dummies_left - 1)
+            elif not claimed[j]:
+                partner[i] = j
+                claimed[j] = True
+                yield from search(i + 1, dummies_left)
+                claimed[j] = False
 
-    search(0, set(), dummies, [])
-    return results
+    return search(0, n_p - n_q)
+
+
+def bind_atoms(p: list[Atom], q: list[Atom], search_cap: int = 1000) -> list[Binding]:
+    """The first search_cap bindings of iter_bindings."""
+    return list(islice(iter_bindings(p, q), search_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +242,7 @@ def le_score(
     q_keys = [(a.predicate, a.args) for a in q]
 
     best: LeResult | None = None
-    for binding in bind_atoms(p, q, config.search_cap):
+    for binding in islice(iter_bindings(p, q), config.search_cap):
         value = {q_keys[qi]: masks[k] for k, (_, qi) in enumerate(binding.pairs) if qi is not None}
         matched = (full ^ gold_table ^ _truth_table(pred.body, value, full)).bit_count()
         if (
@@ -288,29 +314,34 @@ class RewardBreakdown:
     notes: list[str] = field(default_factory=list)
 
 
-def reward_detail(gold: str, pred: str, config: RewardConfig = RewardConfig()) -> RewardBreakdown:
-    try:
-        gold_rule = parse(gold)
-    except FolSyntaxError as exc:
-        raise GoldUnparseable(str(exc)) from exc
-    try:
-        pred_rule = parse(pred)
-    except FolSyntaxError:
-        return RewardBreakdown(0.0, 0.0, 0.0, notes=["prediction unparseable"])
+def reward_detail(
+    gold: FolRule | str, pred: FolRule | str, config: RewardConfig = RewardConfig()
+) -> RewardBreakdown:
+    """The reward and its parts; a rule given as text is parsed here."""
+    if isinstance(gold, str):
+        try:
+            gold = parse(gold)
+        except FolSyntaxError as exc:
+            raise GoldUnparseable(str(exc)) from exc
+    if isinstance(pred, str):
+        try:
+            pred = parse(pred)
+        except FolSyntaxError:
+            return RewardBreakdown(0.0, 0.0, 0.0, notes=["prediction unparseable"])
 
     binding = None
     try:
-        le_res = le_score(gold_rule, pred_rule, config)
+        le_res = le_score(gold, pred, config)
         le = le_res.score
         binding = le_res.binding
         notes = []
     except TooManyAtoms as exc:
         log.warning("LE skipped: %s", exc)
         le, notes = 0.0, [f"LE skipped: {exc}"]
-    bleu = _bleu_from_tokens(tokens(gold_rule), tokens(pred_rule))
+    bleu = _bleu_from_tokens(tokens(gold), tokens(pred))
     return RewardBreakdown(mix(le, bleu, config.omega), le, bleu, binding, notes)
 
 
-def reward(gold: str, pred: str, config: RewardConfig = RewardConfig()) -> float:
+def reward(gold: FolRule | str, pred: FolRule | str, config: RewardConfig = RewardConfig()) -> float:
     """omega * LE + (1 - omega) * BLEU; 0 when the prediction does not parse."""
     return reward_detail(gold, pred, config).reward

@@ -15,6 +15,7 @@ from typing import Iterable
 
 from . import rowio
 from .collect import Generator
+from .fol import FolRule
 from .forge import (
     CORR_MARKER,
     FOL_MARKER,
@@ -25,7 +26,7 @@ from .forge import (
     parse_correction_output,
 )
 from .metrics import RewardConfig, reward
-from .parser import validate
+from .parser import FolSyntaxError, parse
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +48,12 @@ class SessionConfig:
     max_output_tokens: int = 256  # whitespace tokens per generation
     reward: RewardConfig = RewardConfig()
 
+    def __post_init__(self):
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
+
 
 @dataclass
 class SessionState:
@@ -54,6 +61,7 @@ class SessionState:
     fol_initial: str
     prev_steps: list[str] = field(default_factory=list)
     current_fol: str = ""
+    current_rule: FolRule | None = None  # parse of current_fol, once known
     generation_index: int = 0
     status: str = "running"  # running | done_no_changes | done_limit | failed
     violations: int = 0
@@ -88,11 +96,19 @@ def _t3_input(state: SessionState) -> str:
     return input_text
 
 
-def pre_repair(nl: str, fol_pred: str, generator: Generator) -> str:
-    """Return a parseable FOL for the prediction, asking the generator for a
-    one-shot naive repair when the raw prediction does not parse."""
-    if validate(fol_pred):
-        return fol_pred
+def _parse_or_none(text: str) -> FolRule | None:
+    try:
+        return parse(text)
+    except FolSyntaxError:
+        return None
+
+
+def pre_repair(nl: str, fol_pred: str, generator: Generator) -> tuple[str, FolRule]:
+    """Return a parseable FOL for the prediction and its parse, asking the
+    generator for a one-shot naive repair when the raw prediction does not parse."""
+    rule = _parse_or_none(fol_pred)
+    if rule is not None:
+        return fol_pred, rule
     prompt = f"{NL_MARKER}\n{nl}\n{FOL_MARKER}\n{fol_pred}"
     response = generator.generate(SESSION_SYSTEM_PROMPT, prompt)
     try:
@@ -100,18 +116,22 @@ def pre_repair(nl: str, fol_pred: str, generator: Generator) -> str:
         candidate = parsed.fol
     except MalformedOutput:
         candidate = response.strip()
-    if candidate and validate(candidate):
-        return candidate
+    rule = _parse_or_none(candidate) if candidate else None
+    if rule is not None:
+        return candidate, rule
     raise RepairFailed(f"prediction not repairable: {fol_pred!r}")
 
 
 def step(
     state: SessionState,
     generator: Generator,
-    gold: str | None = None,
+    gold: FolRule | str | None = None,
     config: SessionConfig = SessionConfig(),
 ) -> ExperienceTuple:
-    """Run one generation; mutates the state and returns the experience tuple."""
+    """Run one generation; mutates the state and returns the experience tuple.
+
+    Only a candidate that differs from the current FOL is parsed.
+    """
     if state.status != "running":
         raise RuntimeError(f"session is {state.status}")
     prev_snapshot = list(state.prev_steps)
@@ -119,7 +139,7 @@ def step(
     state.generation_index += 1
     over_limit = len(output.split()) > config.max_output_tokens
 
-    candidate = state.current_fol
+    candidate, rule = state.current_fol, state.current_rule
     try:
         parsed = parse_correction_output(output)
         if parsed.no_changes:
@@ -127,10 +147,11 @@ def step(
         else:
             if parsed.steps:
                 state.prev_steps.extend(parsed.steps)
-            if parsed.fol is not None:
+            if parsed.fol is not None and (parsed.fol != candidate or rule is None):
                 candidate = parsed.fol
-                if validate(parsed.fol):
-                    state.current_fol = parsed.fol
+                rule = _parse_or_none(candidate)
+                if rule is not None:
+                    state.current_fol, state.current_rule = candidate, rule
                 else:
                     state.violations += 1
                     log.warning("generation %d produced unparseable FOL", state.generation_index)
@@ -141,7 +162,7 @@ def step(
     if state.status == "running" and (over_limit or state.generation_index >= config.max_generations):
         state.status = "done_limit"
 
-    r = reward(gold, candidate, config.reward) if gold is not None else None
+    r = reward(gold, candidate if rule is None else rule, config.reward) if gold is not None else None
     return ExperienceTuple(candidate, state.nl, prev_snapshot, state.fol_initial, r)
 
 
@@ -158,12 +179,16 @@ def run_session(
     per-generation experience tuples, and the final state.
     """
     try:
-        fol0 = pre_repair(nl, fol_pred, generator)
+        fol0, rule0 = pre_repair(nl, fol_pred, generator)
     except RepairFailed:
         state = SessionState(nl=nl, fol_initial=fol_pred, status="failed")
         return None, [], state
 
-    state = SessionState(nl=nl, fol_initial=fol0, current_fol=fol0)
+    if gold is not None:
+        # parsed once for all steps; text that does not parse is passed on,
+        # so the first step's reward raises GoldUnparseable
+        gold = _parse_or_none(gold) or gold
+    state = SessionState(nl=nl, fol_initial=fol0, current_fol=fol0, current_rule=rule0)
     tuples: list[ExperienceTuple] = []
     while state.status == "running":
         tuples.append(step(state, generator, gold, config))

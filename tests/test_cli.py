@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import logging
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -345,6 +347,7 @@ _RANGE_INPUTS = {
     "perturb": lambda t: ["--in", _write(t / "r.txt", "P(A)\n")],
     "forge": lambda t: ["--task", "t3", "--count", "1", "--in", _pairs_file(t), "--out", str(t / "o.jsonl")],
     "collect": lambda t: _collect_argv(t, '"ok"\n')[1:],
+    "correct": lambda t: _correct_argv(t, _GOOD_ROW + "\n")[1:],
 }
 
 
@@ -352,7 +355,8 @@ _RANGE_INPUTS = {
                                   ["score", "--omega", "2", "--dry-run"], ["score", "--omega", "-0.1"],
                                   ["perturb", "--negative-prob", "2"], ["perturb", "--negative-prob", "-0.5"],
                                   ["forge", "--negative-prob", "1.01"], ["collect", "--align-threshold", "1.5"],
-                                  ["collect", "--align-threshold", "-1"]])
+                                  ["collect", "--align-threshold", "-1"], ["score", "--workers", "0"],
+                                  ["correct", "--max-generations", "0"], ["correct", "--max-generations", "-5"]])
 def test_score_reward_options_out_of_range_are_usage_errors(tmp_path, argv):
     """Counts and fractions outside their range exit 2 and name the option, for every command."""
     result = CliRunner().invoke(main, argv + _RANGE_INPUTS[argv[0]](tmp_path))
@@ -365,3 +369,26 @@ def test_correct_omega_out_of_range_is_usage_error(tmp_path):
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert "--omega" in result.output
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers may not exceed the CPU count")
+def test_score_workers_write_the_same_output(tmp_path):
+    pairs = _write(tmp_path / "pairs.tsv", "P(A)\tP(A)\nP(A)\t¬P(A)\n∀x (P(x) → Q(x))\t∀y (¬P(y) ∨ Q(y))\n"
+                                           "P(A) ∧ Q(B)\tQ(B)\n∀x Bird(x) → Flies(x)\t∀x Flies(x)\n")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"scores-{workers}.jsonl"
+        result = CliRunner().invoke(main, ["score", "--pairs", pairs, "--workers", workers, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 5
+
+
+def test_correct_logs_omega_and_model_in_its_run_config(tmp_path, caplog):
+    argv = _correct_argv(tmp_path, _GOOD_ROW + "\n") + ["--omega", "0.4", "--model", "test-model", "--dry-run"]
+    with caplog.at_level(logging.INFO, logger="folkit"):
+        result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    (config,) = [json.loads(r.getMessage().split(": ", 1)[1]) for r in caplog.records
+                 if r.getMessage().startswith("run config: ")]
+    assert config["command"] == "correct" and config["omega"] == 0.4 and config["model"] == "test-model"

@@ -7,20 +7,23 @@ implementation under test.
 
 import itertools
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from folkit.fol import atoms
+from folkit.fol import Atom, atoms, is_variable
 from folkit.metrics import (
     MAX_ATOMS,
+    Binding,
     GoldUnparseable,
     RewardConfig,
     TooManyAtoms,
     bind_atoms,
     fol_bleu,
     fol_tokenize,
+    iter_bindings,
     le_score,
     levenshtein,
     mix,
@@ -169,6 +172,89 @@ def test_levenshtein():
     assert levenshtein("", "abc") == 3
     assert levenshtein("kitten", "sitting") == 3
     assert levenshtein("same", "same") == 0
+
+
+# the dynamic programme and the copying recursion that the bit-vector
+# distance and the lazy search replaced, kept as references
+
+
+def _dp_levenshtein(a: str, b: str) -> int:
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def _reference_bind_atoms(p: list[Atom], q: list[Atom], search_cap: int) -> list[Binding]:
+    def masked(atom):
+        args = ["·" if is_variable(a) else a for a in atom.args]
+        return f"{atom.predicate}({', '.join(args)})"
+
+    n_p, n_q = len(p), len(q)
+    dist = [[_dp_levenshtein(masked(pa), masked(qa)) for qa in q] for pa in p]
+    results = []
+
+    def search(i, claimed, dummies_left, acc):
+        if len(results) >= search_cap:
+            return
+        if i == n_p:
+            leftover = [(None, j) for j in range(n_q) if j not in claimed]
+            cost = sum(dist[pi][qi] for pi, qi in acc if pi is not None and qi is not None)
+            results.append(Binding(tuple(acc + leftover), max(n_p, n_q), cost))
+            return
+        choices = sorted((j for j in range(n_q) if j not in claimed), key=lambda j: dist[i][j])
+        if dummies_left > 0:
+            choices.append(None)
+        for j in choices:
+            if len(results) >= search_cap:
+                return
+            if j is None:
+                search(i + 1, claimed, dummies_left - 1, acc + [(i, None)])
+            else:
+                claimed.add(j)
+                search(i + 1, claimed, dummies_left, acc + [(i, j)])
+                claimed.discard(j)
+
+    search(0, set(), max(0, n_p - n_q), [])
+    return results
+
+
+# variable markers, brackets, commas and a non-ASCII letter; the length is drawn
+# first, so that many strings run past one 64-bit word
+_ATOM_TEXT = st.integers(0, 80).flatmap(lambda n: st.text(alphabet="Px·(,)é ", min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ATOM_TEXT, _ATOM_TEXT)
+def test_levenshtein_matches_dynamic_programme(a, b):
+    assert levenshtein(a, b) == _dp_levenshtein(a, b)
+
+
+# few names, so that many partners tie on distance
+_ATOMS = st.builds(
+    Atom,
+    st.sampled_from(["P", "Q", "PQ", "Rab", "Rét"]),
+    st.lists(st.sampled_from(["x", "y", "A", "B", "Ab"]), min_size=1, max_size=3).map(tuple),
+)
+
+
+@pytest.mark.parametrize("shape", ["more gold atoms", "fewer gold atoms", "equal counts"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_iter_bindings_follows_the_reference_order(shape, data):
+    """Dummies (more gold atoms), leftovers (fewer) and plain permutations, up to 6! bindings."""
+    hi = data.draw(st.integers(1, 6), label="larger count")
+    lo = data.draw(st.integers(0, hi - 1), label="smaller count")
+    n_p, n_q = {"more gold atoms": (hi, lo), "fewer gold atoms": (lo, hi), "equal counts": (hi, hi)}[shape]
+    p = data.draw(st.lists(_ATOMS, min_size=n_p, max_size=n_p, unique=True), label="gold atoms")
+    q = data.draw(st.lists(_ATOMS, min_size=n_q, max_size=n_q, unique=True), label="pred atoms")
+    k = data.draw(st.integers(1, 800), label="bindings taken")
+    assert list(islice(iter_bindings(p, q), k)) == _reference_bind_atoms(p, q, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Iterative correction sessions over a scripted generator."""
 
 import json
+import sys
 
 import pytest
 
+import folkit.parser
 from folkit.collect import ScriptedGenerator
 from folkit.forge import NO_CHANGES
+from folkit.metrics import GoldUnparseable, reward
+from folkit.parser import parse
 from folkit.session import (
     RepairFailed,
     SessionConfig,
@@ -29,18 +33,18 @@ def _correction(step_text, fol):
 
 def test_pre_repair_passes_valid_prediction_through():
     gen = ScriptedGenerator([])
-    assert pre_repair("nl", "P(A)", gen) == "P(A)"
+    assert pre_repair("nl", "P(A)", gen) == ("P(A)", parse("P(A)"))
     assert gen.calls == []
 
 
 def test_pre_repair_fixes_via_generator():
     gen = ScriptedGenerator(["### FOL:\nP(A)"])
-    assert pre_repair("nl", "P(A", gen) == "P(A)"
+    assert pre_repair("nl", "P(A", gen) == ("P(A)", parse("P(A)"))
 
 
 def test_pre_repair_accepts_bare_fol_response():
     gen = ScriptedGenerator(["P(A)"])
-    assert pre_repair("nl", "broken =", gen) == "P(A)"
+    assert pre_repair("nl", "broken =", gen) == ("P(A)", parse("P(A)"))
 
 
 def test_pre_repair_failure():
@@ -162,3 +166,62 @@ def test_run_batch_streams_experience(tmp_path):
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert lines[0]["reward"] == pytest.approx(1.0)
     assert lines[1]["reward"] is None
+
+
+# ---------------------------------------------------------------------------
+# configuration and parsing
+
+
+@pytest.mark.parametrize("field", ["max_generations", "max_output_tokens"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_session_config_rejects_counts_below_one(field, value):
+    with pytest.raises(ValueError, match=field):
+        SessionConfig(**{field: value})
+
+
+@pytest.fixture
+def parsed_texts(monkeypatch):
+    """Every text given to folkit.parser.parse, in call order, from whichever module calls it."""
+    real = folkit.parser.parse
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name == "folkit" or name.startswith("folkit."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return texts
+
+
+def test_session_parses_gold_once_and_each_new_candidate_once(parsed_texts):
+    pred, gold, fixed = "∀x (P(x) → R(x))", "∀x (P(x) → Q(x))", "∀y (P(y) → Q(y))"
+    gen = ScriptedGenerator([_correction("first fix", fixed), _correction("no real change", fixed), DONE])
+    final, tuples, state = run_session("nl", pred, gen, gold=gold)
+    assert final == fixed and state.status == "done_no_changes"
+    assert [t.corrected_fol for t in tuples] == [fixed] * 3
+    # pre-repair parses the prediction; the unchanged candidate and the
+    # closing "no changes" generation parse nothing
+    assert parsed_texts == [pred, gold, fixed]
+    assert [t.reward for t in tuples] == [reward(gold, fixed)] * 3
+
+
+def test_session_unparseable_candidate_counts_a_violation_and_scores_zero():
+    gen = ScriptedGenerator([_correction("bad fix", "P(A) ∧"), _correction("good fix", "P(A)"), DONE])
+    final, tuples, state = run_session("nl", "Q(A)", gen, gold="P(A)")
+    assert [t.corrected_fol for t in tuples] == ["P(A) ∧", "P(A)", "P(A)"]
+    assert tuples[0].reward == 0.0
+    assert tuples[1].reward == pytest.approx(1.0) and tuples[2].reward == pytest.approx(1.0)
+    assert state.violations == 1 and final == "P(A)"
+
+
+@pytest.mark.parametrize("pred, calls", [("Q(A)", 1), ("Q(A) ∧", 2)])
+def test_run_session_unparseable_gold_raises_at_the_first_reward(pred, calls):
+    """After pre-repair's call, if any, and the first generation's."""
+    gen = ScriptedGenerator(["### FOL:\nQ(A)", _correction("fix", "P(A)"), DONE])
+    with pytest.raises(GoldUnparseable):
+        run_session("nl", pred, gen, gold="P(A) =")
+    assert len(gen.calls) == calls
