@@ -140,8 +140,8 @@ def levenshtein(a: str, b: str) -> int:
     return len(a) + pv.bit_count() - mv.bit_count()
 
 
-def iter_bindings(p: list[Atom], q: list[Atom]) -> Iterator[Binding]:
-    """Candidate bindings, greedy-preferred first, built one at a time.
+def bind_atoms(p: list[Atom], q: list[Atom], search_cap: int = 1000) -> Iterator[Binding]:
+    """The first search_cap candidate bindings, greedy-preferred first, built lazily.
 
     Iterates the first list in order, pairing each atom with its unclaimed
     minimum-edit-distance partner; alternatives (including dummy pairing when
@@ -176,12 +176,7 @@ def iter_bindings(p: list[Atom], q: list[Atom]) -> Iterator[Binding]:
                 yield from search(i + 1, dummies_left)
                 claimed[j] = False
 
-    return search(0, n_p - n_q)
-
-
-def bind_atoms(p: list[Atom], q: list[Atom], search_cap: int = 1000) -> list[Binding]:
-    """The first search_cap bindings of iter_bindings."""
-    return list(islice(iter_bindings(p, q), search_cap))
+    return islice(search(0, n_p - n_q), search_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +237,7 @@ def le_score(
     q_keys = [(a.predicate, a.args) for a in q]
 
     best: LeResult | None = None
-    for binding in islice(iter_bindings(p, q), config.search_cap):
+    for binding in bind_atoms(p, q, config.search_cap):
         value = {q_keys[qi]: masks[k] for k, (_, qi) in enumerate(binding.pairs) if qi is not None}
         matched = (full ^ gold_table ^ _truth_table(pred.body, value, full)).bit_count()
         if (

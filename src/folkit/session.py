@@ -61,10 +61,14 @@ class SessionState:
     fol_initial: str
     prev_steps: list[str] = field(default_factory=list)
     current_fol: str = ""
-    current_rule: FolRule | None = None  # parse of current_fol, once known
+    current_rule: FolRule | None = None  # parse of current_fol; None when it does not parse
     generation_index: int = 0
     status: str = "running"  # running | done_no_changes | done_limit | failed
     violations: int = 0
+
+    def __post_init__(self):
+        if self.current_rule is None and self.current_fol:
+            self.current_rule = _parse_or_none(self.current_fol)
 
 
 @dataclass
@@ -147,7 +151,7 @@ def step(
         else:
             if parsed.steps:
                 state.prev_steps.extend(parsed.steps)
-            if parsed.fol is not None and (parsed.fol != candidate or rule is None):
+            if parsed.fol is not None and parsed.fol != candidate:
                 candidate = parsed.fol
                 rule = _parse_or_none(candidate)
                 if rule is not None:
