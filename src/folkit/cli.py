@@ -451,9 +451,13 @@ def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, om
         gold = row.get("gold")
         if gold is None:
             continue
-        verdict = validate(gold)
-        if not verdict:
-            raise rowio.InputError(gold_file, n, f"gold rule does not parse: {verdict.reason}")
+        if isinstance(gold, str):
+            try:
+                row["gold"] = parse_fol(gold)  # parsed once, for every step of the session
+                continue
+            except FolSyntaxError:
+                pass
+        raise rowio.InputError(gold_file, n, f"gold rule does not parse: {validate(gold).reason}")
     generator = ReplayGenerator(replay) if replay else HttpGenerator(endpoint, model)
     config = SessionConfig(max_generations=max_generations, reward=RewardConfig(omega=omega))
     summary = run_batch(rows, generator, out_path, config)

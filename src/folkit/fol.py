@@ -121,19 +121,7 @@ def print_canonical(rule: FolRule) -> str:
 
 def literal_occurrences(rule: FolRule) -> list[Literal]:
     """All literal leaves, left to right, duplicates kept."""
-    out: list[Literal] = []
-
-    def walk(node: FormulaNode) -> None:
-        if isinstance(node, Literal):
-            out.append(node)
-        elif isinstance(node, (Negation, Group)):
-            walk(node.child)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(rule.body)
-    return out
+    return [node for _, node in iter_locations(rule) if isinstance(node, Literal)]
 
 
 def atoms(rule: FolRule) -> list[Atom]:
@@ -145,23 +133,6 @@ def atoms(rule: FolRule) -> list[Atom]:
         if atom.canonical_text not in seen:
             seen.add(atom.canonical_text)
             out.append(atom)
-    return out
-
-
-def bound_variables(rule: FolRule) -> list[str]:
-    return [v for _, v in rule.prefix]
-
-
-def free_variables(rule: FolRule) -> list[str]:
-    """Variables used as literal arguments but not bound in the prefix."""
-    bound = set(bound_variables(rule))
-    seen: set[str] = set()
-    out: list[str] = []
-    for lit in literal_occurrences(rule):
-        for arg in lit.args:
-            if is_variable(arg) and arg not in bound and arg not in seen:
-                seen.add(arg)
-                out.append(arg)
     return out
 
 
@@ -222,45 +193,44 @@ def _children(node: FormulaNode) -> tuple[FormulaNode, ...]:
     return ()
 
 
-def get_node(rule: FolRule, loc: Location) -> FormulaNode:
+def _spine(rule: FolRule, loc: Location) -> list[FormulaNode]:
+    """The nodes from the body root down to the node at loc, both included."""
     if not loc or loc[0] != "body":
         raise InvalidLocation(f"not a body location: {loc!r}")
     node: FormulaNode = rule.body
+    spine = [node]
     for idx in loc[1:]:
         kids = _children(node)
-        if idx >= len(kids):
-            raise InvalidLocation(f"no child {idx} at {loc!r}")
+        if not isinstance(idx, int) or not 0 <= idx < len(kids):
+            raise InvalidLocation(f"no child {idx!r} at {loc!r}")
         node = kids[idx]
-    return node
+        spine.append(node)
+    return spine
+
+
+def get_node(rule: FolRule, loc: Location) -> FormulaNode:
+    return _spine(rule, loc)[-1]
 
 
 def replace_node(rule: FolRule, loc: Location, new: FormulaNode) -> FolRule:
-    if not loc or loc[0] != "body":
-        raise InvalidLocation(f"not a body location: {loc!r}")
-
-    def rebuild(node: FormulaNode, path: tuple) -> FormulaNode:
-        if not path:
-            return new
-        idx = path[0]
-        if isinstance(node, Negation) and idx == 0:
-            return Negation(rebuild(node.child, path[1:]))
-        if isinstance(node, Group) and idx == 0:
-            return Group(rebuild(node.child, path[1:]))
-        if isinstance(node, BinaryOp) and idx in (0, 1):
-            if idx == 0:
-                return BinaryOp(node.op, rebuild(node.left, path[1:]), node.right)
-            return BinaryOp(node.op, node.left, rebuild(node.right, path[1:]))
-        raise InvalidLocation(f"no child {idx} under {node!r}")
-
-    return FolRule(rule.prefix, rebuild(rule.body, tuple(loc[1:])))
+    """A copy of the rule with the node at loc replaced; its ancestors are rebuilt."""
+    spine = _spine(rule, loc)
+    for parent, idx in zip(reversed(spine[:-1]), reversed(loc[1:])):
+        if isinstance(parent, BinaryOp):
+            new = BinaryOp(parent.op, new, parent.right) if idx == 0 else BinaryOp(parent.op, parent.left, new)
+        else:
+            new = type(parent)(new)  # Negation or Group
+    return FolRule(rule.prefix, new)
 
 
 def iter_locations(rule: FolRule) -> Iterator[tuple[Location, FormulaNode]]:
-    """All body locations in pre-order, root first."""
-
-    def walk(node: FormulaNode, path: tuple) -> Iterator[tuple[Location, FormulaNode]]:
-        yield ("body",) + path, node
-        for i, child in enumerate(_children(node)):
-            yield from walk(child, path + (i,))
-
-    yield from walk(rule.body, ())
+    """All body locations in pre-order: root first, left subtree before right."""
+    stack: list[tuple[Location, FormulaNode]] = [(("body",), rule.body)]
+    while stack:
+        loc, node = stack.pop()
+        yield loc, node
+        if isinstance(node, BinaryOp):
+            stack.append((loc + (1,), node.right))
+            stack.append((loc + (0,), node.left))
+        elif isinstance(node, (Negation, Group)):
+            stack.append((loc + (0,), node.child))

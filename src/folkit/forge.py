@@ -27,6 +27,7 @@ from .fol import (
     Literal,
     Negation,
     is_variable,
+    iter_locations,
     literal_occurrences,
     print_canonical,
 )
@@ -199,10 +200,6 @@ def write_records(records: Iterable[CorrectionRecord], path: str | Path) -> int:
     return n
 
 
-def read_records(path: str | Path) -> list[CorrectionRecord]:
-    return [CorrectionRecord.from_dict(row) for _, row in rowio.jsonl(path, ("nl", "fol_gold"))]
-
-
 # ---------------------------------------------------------------------------
 # prompt formatting
 
@@ -241,22 +238,6 @@ def _split_sections(text: str) -> list[tuple[str, str]]:
         elif sections:
             sections[-1][1].append(line)
     return [(m, "\n".join(body).strip()) for m, body in sections]
-
-
-def parse_prompt(input_text: str, output_text: str, task: str) -> CorrectionRecord:
-    """Recover a record's content from formatted prompt text."""
-    inp = dict(_split_sections(input_text))
-    out = dict(_split_sections(output_text))
-    nl = inp.get(NL_MARKER, "")
-    if task == "t1":
-        return CorrectionRecord(nl, out.get(FOL_MARKER, ""), "")
-    if task == "t2":
-        return CorrectionRecord(nl, out.get(FOL_MARKER, ""), inp.get(FOL_MARKER, ""))
-    prev_text = inp.get(PREV_MARKER, "")
-    prev = [] if prev_text in ("", "None") else [{"text": t} for t in prev_text.splitlines()]
-    corr_text = out.get(CORR_MARKER, "")
-    target = [] if corr_text in ("", NO_CHANGES) else [{"text": t} for t in corr_text.splitlines()]
-    return CorrectionRecord(nl, out.get(FOL_MARKER, ""), inp.get(FOL_MARKER, ""), prev, target)
 
 
 @dataclass
@@ -323,25 +304,12 @@ def nl_words(text: str) -> list[str]:
 
 
 def _count_operators(rule: FolRule) -> Counter:
-    counts: Counter = Counter()
-    for q, _ in rule.prefix:
-        counts[q] += 1
-
-    def walk(node):
-        if isinstance(node, Literal):
-            if node.negated:
-                counts[NOT] += 1
-        elif isinstance(node, Negation):
-            counts[NOT] += 1
-            walk(node.child)
-        elif isinstance(node, BinaryOp):
+    counts = Counter(q for q, _ in rule.prefix)
+    for _, node in iter_locations(rule):
+        if isinstance(node, BinaryOp):
             counts[node.op] += 1
-            walk(node.left)
-            walk(node.right)
-        else:
-            walk(node.child)
-
-    walk(rule.body)
+        elif isinstance(node, Negation) or (isinstance(node, Literal) and node.negated):
+            counts[NOT] += 1
     return counts
 
 

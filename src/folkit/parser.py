@@ -27,9 +27,8 @@ from .fol import (
     Group,
     Literal,
     Negation,
-    camel_words,
     is_variable,
-    literal_occurrences,
+    iter_locations,
 )
 
 
@@ -45,9 +44,10 @@ BANNED_SYMBOLS = ("=", "≠", "%", "!")
 
 # Binary operators plus the parentheses of groups and negations, that is the
 # inner nodes of the tree, so this also bounds its depth. The parser takes seven
-# frames per nested parenthesis (about 710 at the bound) and the tree walkers in
-# fol, metrics and perturb one or two per level, so all stay under Python's
-# default recursion limit of 1000 with room for their callers' frames.
+# frames per nested parenthesis (about 710 at the bound) and the three recursive
+# folds, fol.node_text, fol.tokens and metrics._truth_table, one per level, so
+# all stay under Python's default recursion limit of 1000 with room for their
+# callers' frames.
 MAX_OPERATORS = 100
 
 _TOKEN_RE = re.compile(
@@ -238,24 +238,16 @@ class Verdict:
         return self.valid
 
 
-def validate(text: str, max_predicate_words: int | None = None) -> Verdict:
-    """Check a value against the grammar; never raises.
-
-    With max_predicate_words set (strict mode), rules whose predicate names
-    split into more CamelCase words than the threshold are rejected too.
-    """
+def validate(text: str) -> Verdict:
+    """Check a value against the grammar; never raises."""
     if not isinstance(text, str):
         return Verdict(False, "not text")
     if not text.strip():
         return Verdict(False, "empty")
     try:
-        rule = parse(text)
+        parse(text)
     except FolSyntaxError as exc:
         return Verdict(False, str(exc))
-    if max_predicate_words is not None:
-        for lit in literal_occurrences(rule):
-            if len(camel_words(lit.predicate)) > max_predicate_words:
-                return Verdict(False, f"predicate {lit.predicate!r} exceeds {max_predicate_words} words")
     return Verdict(True)
 
 
@@ -296,21 +288,15 @@ def roundtrip_stable(rule: FolRule) -> bool:
             return False
         seen.add(var)
     operators = 0
-    stack = [rule.body]
-    while stack:
-        node = stack.pop()
+    for _, node in iter_locations(rule):
         if isinstance(node, Literal):
             if not node.args or not _is_name(node.predicate) or not all(map(_is_name, node.args)):
                 return False
             continue
         operators += 1
-        if isinstance(node, BinaryOp):
-            if node.op not in _STRENGTH or not (
-                _nests_bare(node.op, node.left, "left") and _nests_bare(node.op, node.right, "right")
-            ):
-                return False
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            stack.append(node.child)
+        if isinstance(node, BinaryOp) and (
+            node.op not in _STRENGTH
+            or not (_nests_bare(node.op, node.left, "left") and _nests_bare(node.op, node.right, "right"))
+        ):
+            return False
     return operators <= MAX_OPERATORS

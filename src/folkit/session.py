@@ -174,7 +174,7 @@ def run_session(
     nl: str,
     fol_pred: str,
     generator: Generator,
-    gold: str | None = None,
+    gold: FolRule | str | None = None,
     config: SessionConfig = SessionConfig(),
 ) -> tuple[str | None, list[ExperienceTuple], SessionState]:
     """Pre-repair then iterate generations until the session stops.
@@ -188,7 +188,7 @@ def run_session(
         state = SessionState(nl=nl, fol_initial=fol_pred, status="failed")
         return None, [], state
 
-    if gold is not None:
+    if isinstance(gold, str):
         # parsed once for all steps; text that does not parse is passed on,
         # so the first step's reward raises GoldUnparseable
         gold = _parse_or_none(gold) or gold
@@ -205,7 +205,10 @@ def run_batch(
     out_path: str | Path,
     config: SessionConfig = SessionConfig(),
 ) -> dict:
-    """Run sessions over rows {nl, pred, gold?} and stream experience JSONL."""
+    """Run sessions over rows {nl, pred, gold?} and stream experience JSONL.
+
+    A gold may be text or an already parsed rule.
+    """
     sessions = 0
     failed = 0
     experiences = 0

@@ -3,10 +3,12 @@
 import json
 import logging
 import os
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from folkit import parser
 from folkit.cli import main
 from folkit.forge import NO_CHANGES
 
@@ -230,6 +232,33 @@ def test_correct_replay_session(tmp_path):
     assert tuples[0]["reward"] == 1.0
 
 
+def test_correct_parses_each_gold_once(tmp_path, monkeypatch):
+    gold = "forall x (Bird(x) -> Flies(x))"  # ASCII, so no canonical answer text equals it
+    real_parse = parser.parse
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("folkit."):
+            for attr, value in list(vars(module).items()):
+                if value is real_parse:
+                    monkeypatch.setattr(module, attr, counting_parse)
+    rows = _write(tmp_path / "rows.jsonl", json.dumps({"nl": "a", "pred": "∀x (Bird(x) → Swims(x))", "gold": gold}))
+    answers = [
+        "### Corrections:\nChange the predicate 'Swims' to 'Flies' in 'Swims(x)'\n### FOL:\n∀x (Bird(x) → Flies(x))",
+        f"### Corrections:\n{NO_CHANGES}\n### FOL:\n∀x (Bird(x) → Flies(x))",
+    ]
+    replay = _write(tmp_path / "replay.jsonl", "".join(json.dumps(a) + "\n" for a in answers))
+    out = tmp_path / "experience.jsonl"
+    result = CliRunner().invoke(main, ["correct", "--nl-fol-pred", rows, "--replay", replay, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [json.loads(l)["reward"] for l in out.read_text().splitlines()] == [1.0, 1.0]
+    assert parsed.count(gold) == 1
+
+
 def test_dry_run_writes_nothing(tmp_path):
     pairs = _pairs_file(tmp_path)
     out = tmp_path / "never.jsonl"
@@ -286,6 +315,10 @@ MALFORMED = [
     ("collect-bad-accepted-on-resume", lambda t: _collect_argv(
         t, '"ok"\n', {"accepted.jsonl": '{"nl": "a", "fol": "P(A)"}\ngarbage\n'}), ["accepted.jsonl:2:"]),
     ("correct-row-without-pred", lambda t: _correct_argv(t, '{"nl": "a"}\n'), ["rows.jsonl:1:"]),
+    ("correct-gold-not-text", lambda t: _correct_argv(t, json.dumps({"nl": "a", "pred": "P(A)", "gold": 5}) + "\n"),
+     ["rows.jsonl:1: gold rule does not parse: not text"]),
+    ("correct-gold-empty", lambda t: _correct_argv(t, json.dumps({"nl": "a", "pred": "P(A)", "gold": ""}) + "\n"),
+     ["rows.jsonl:1: gold rule does not parse: empty"]),
     ("validate-fol-not-text", lambda t: ["validate", "--in", _write(t / "r.jsonl", 'P(A)\n{"fol": 5}\n')],
      ["r.jsonl:2:"]),
     ("validate-row-without-fol", lambda t: ["validate", "--in", _write(t / "r.jsonl", '{"nl": "a"}\n')],
