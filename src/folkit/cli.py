@@ -104,14 +104,18 @@ def _check_counts(path_a: str, rows_a: list, path_b: str, rows_b: list) -> None:
         raise DataError(f"{path_a} and {path_b} differ in length: {len(rows_a)} against {len(rows_b)} rows")
 
 
-def _number_list(kind):
-    """A click callback parsing a comma-separated list of ``kind`` numbers."""
+def _number_list(kind, minimum=None):
+    """A click callback parsing a comma-separated list of ``kind`` numbers,
+    each at least ``minimum`` when one is given."""
 
     def convert(ctx, param, value):
         try:
-            return tuple(kind(x) for x in value.split(","))
+            numbers = tuple(kind(x) for x in value.split(","))
         except ValueError:
             raise click.BadParameter(f"expected comma-separated {kind.__name__} values, got {value!r}") from None
+        if minimum is not None and any(x < minimum for x in numbers):
+            raise click.BadParameter(f"every value must be at least {minimum}, got {value!r}")
+        return numbers
 
     return convert
 
@@ -239,8 +243,8 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
 @main.command("perturb")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--n-perturb", default="0,1,2,3,4,5,6,7,8,9,10", show_default=True, callback=_number_list(int))
-@click.option("--n-correct", default="0,1,2,3", show_default=True, callback=_number_list(int))
+@click.option("--n-perturb", default="0,1,2,3,4,5,6,7,8,9,10", show_default=True, callback=_number_list(int, minimum=0))
+@click.option("--n-correct", default="0,1,2,3", show_default=True, callback=_number_list(int, minimum=0))
 @click.option("--negative-prob", default=0.2, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--dry-run", is_flag=True)
@@ -285,7 +289,7 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
 
 @main.command("forge")
 @click.option("--task", type=click.Choice(["t1", "t2", "t3"]), required=True)
-@click.option("--count", required=True, type=int)
+@click.option("--count", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())

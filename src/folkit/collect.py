@@ -19,8 +19,9 @@ from pathlib import Path
 from typing import Protocol
 
 from . import rowio
-from .fol import camel_words, literal_occurrences
+from .fol import FolRule, camel_words, literal_occurrences
 from .parser import FolSyntaxError, parse, validate
+from .parser import Verdict as SyntaxVerdict
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +51,18 @@ def nl_tokens(text: str) -> list[str]:
 LONG_PREDICATE_WORDS = 4  # ColorChangedToRed is long; EUCountry is not
 
 
-def has_long_predicate(fol: str) -> bool:
+def _rule_or_none(fol: FolRule | str) -> FolRule | None:
+    if isinstance(fol, FolRule):
+        return fol
     try:
-        rule = parse(fol)
+        return parse(fol)
     except FolSyntaxError:
+        return None
+
+
+def has_long_predicate(fol: FolRule | str) -> bool:
+    rule = _rule_or_none(fol)
+    if rule is None:
         return False
     return any(len(camel_words(l.predicate)) >= LONG_PREDICATE_WORDS for l in literal_occurrences(rule))
 
@@ -134,12 +143,11 @@ def _stem(word: str) -> str:
     return word
 
 
-def alignment_score(fol: str, nl: str) -> float:
+def alignment_score(fol: FolRule | str, nl: str) -> float:
     """Fraction of the FOL's term words (CamelCase-split, lowercased,
     stem-matched) present in the NL token set."""
-    try:
-        rule = parse(fol)
-    except FolSyntaxError:
+    rule = _rule_or_none(fol)
+    if rule is None:
         return 0.0
     words: set[str] = set()
     for lit in literal_occurrences(rule):
@@ -321,17 +329,18 @@ class Verdict:
 
 
 def accept_pair(
-    nl: str, fol: str, gate: NgramGate, align_threshold: float = 0.5
+    nl: str, fol: str | SyntaxVerdict, gate: NgramGate, align_threshold: float = 0.5
 ) -> Verdict:
     """Accept iff the FOL validates, the NL carries no blocked n-gram, and the
-    FOL terms align with the NL."""
-    verdict = validate(fol)
-    if not verdict:
-        return Verdict(False, f"syntax: {verdict.reason}")
+    FOL terms align with the NL. ``fol`` is the FOL text or ``validate``'s
+    verdict on it."""
+    syntax = validate(fol) if isinstance(fol, str) else fol
+    if not syntax:
+        return Verdict(False, f"syntax: {syntax.reason}")
     blocked = gate.find_blocked(nl)
     if blocked is not None:
         return Verdict(False, f"blocked-ngram: {blocked}")
-    score = alignment_score(fol, nl)
+    score = alignment_score(syntax.rule, nl)
     if score < align_threshold:
         return Verdict(False, f"alignment: {score:.3f} < {align_threshold}")
     return Verdict(True)
@@ -533,11 +542,13 @@ def run_collection(
             for rej in malformed:
                 rowio.write(rej_fh, rej)
                 rejected_count += 1
-            include_breakdown = any(has_long_predicate(fol) for _, fol in candidates)
-            for nl, fol in candidates:
+            # each candidate is parsed here, once
+            syntax_verdicts = [validate(fol) for _, fol in candidates]
+            include_breakdown = any(has_long_predicate(v.rule) for v in syntax_verdicts if v)
+            for (nl, fol), syntax in zip(candidates, syntax_verdicts):
                 if len(accepted) >= target:
                     break
-                verdict = accept_pair(nl, fol, gate, align_threshold)
+                verdict = accept_pair(nl, syntax, gate, align_threshold)
                 if verdict.accepted:
                     gate.update(nl)
                     accepted.append((nl, fol))

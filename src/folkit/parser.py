@@ -10,7 +10,7 @@ printing reproduces the source structure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fol import (
     AND,
@@ -233,22 +233,24 @@ def parse(text: str) -> FolRule:
 class Verdict:
     valid: bool
     reason: str = ""
+    rule: FolRule | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.valid
 
 
 def validate(text: str) -> Verdict:
-    """Check a value against the grammar; never raises."""
+    """Check a value against the grammar; never raises. A valid verdict
+    carries the parsed rule."""
     if not isinstance(text, str):
         return Verdict(False, "not text")
     if not text.strip():
         return Verdict(False, "empty")
     try:
-        parse(text)
+        rule = parse(text)
     except FolSyntaxError as exc:
         return Verdict(False, str(exc))
-    return Verdict(True)
+    return Verdict(True, rule=rule)
 
 
 # binding strength of each binary operator (higher binds tighter) and the side

@@ -9,6 +9,7 @@ replayed from text.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -17,21 +18,23 @@ from .fol import (
     BINARY_OPS,
     EXISTS,
     FORALL,
+    QUANTIFIERS,
     BinaryOp,
     FolRule,
+    FormulaNode,
     Group,
     InvalidLocation,
     Literal,
     Location,
     Negation,
+    _spine,
     get_node,
     is_variable,
     iter_locations,
-    literal_occurrences,
     node_text,
     replace_node,
 )
-from .parser import parse, roundtrip_stable
+from .parser import _STRENGTH, MAX_OPERATORS, _is_name, _nests_bare, parse, roundtrip_stable
 
 __all__ = [
     "EditStep",
@@ -101,6 +104,9 @@ def step_from_dict(d: dict) -> EditStep:
 # application
 
 
+# the sampler inserts few distinct formulas, and trees are immutable, so a
+# parsed one is shared
+@functools.lru_cache(maxsize=1024)
 def _parse_subformula(text: str):
     rule = parse(text)
     if rule.prefix:
@@ -301,59 +307,64 @@ class PerturbConfig:
             raise ValueError("negative_prob must be in [0, 1]")
         if not self.n_perturb_choices or not self.n_correct_choices:
             raise ValueError("choice lists must be non-empty")
+        if min(self.n_perturb_choices) < 0 or min(self.n_correct_choices) < 0:
+            raise ValueError("choice lists must not hold negative counts")
 
 
-def _predicates(rule: FolRule) -> list[str]:
-    seen = []
-    for lit in literal_occurrences(rule):
-        if lit.predicate not in seen:
-            seen.append(lit.predicate)
-    return seen
+class _TreeView:
+    """What the sampler reads of one tree, gathered in one walk.
+
+    Every list keeps the order of the walk (pre-order, left before right),
+    and predicates and constants keep their first occurrence, so draws from
+    these lists consume the rng exactly as draws from a fresh walk would.
+    """
+
+    __slots__ = ("nodes", "literals", "predicates", "constants", "variables", "operators")
+
+    def __init__(self, rule: FolRule):
+        nodes: list[tuple[Location, FormulaNode]] = []
+        literals: list[tuple[Location, Literal]] = []
+        predicates: list[str] = []
+        constants: list[str] = []
+        variables = {v for _, v in rule.prefix}
+        for loc, node in iter_locations(rule):
+            nodes.append((loc, node))
+            if isinstance(node, Literal):
+                literals.append((loc, node))
+                if node.predicate not in predicates:
+                    predicates.append(node.predicate)
+                for arg in node.args:
+                    if is_variable(arg):
+                        variables.add(arg)
+                    elif arg not in constants:
+                        constants.append(arg)
+        self.nodes, self.literals = nodes, literals
+        self.predicates, self.constants, self.variables = predicates, constants, variables
+        # binary operators, groups and negations, the nodes MAX_OPERATORS bounds
+        self.operators = len(nodes) - len(literals)
 
 
-def _constants(rule: FolRule) -> list[str]:
-    seen = []
-    for lit in literal_occurrences(rule):
-        for arg in lit.args:
-            if not is_variable(arg) and arg not in seen:
-                seen.append(arg)
-    return seen
-
-
-def _all_variables(rule: FolRule) -> set[str]:
-    used = {v for _, v in rule.prefix}
-    for lit in literal_occurrences(rule):
-        used.update(a for a in lit.args if is_variable(a))
-    return used
-
-
-def _fresh_variable(rule: FolRule, rng: random.Random) -> str:
-    used = _all_variables(rule)
-    options = [v for v in _VAR_NAMES if v not in used]
+def _fresh_variable(view: _TreeView, rng: random.Random) -> str:
+    options = [v for v in _VAR_NAMES if v not in view.variables]
     return options[0] if options else f"x{rng.randrange(10**6)}"
 
 
-def _fresh_predicate(rule: FolRule, rng: random.Random) -> str:
-    used = set(_predicates(rule))
-    return next(p for p in (f"R{i}" for i in itertools.count(1)) if p not in used)
+def _fresh_predicate(view: _TreeView) -> str:
+    return next(p for p in (f"R{i}" for i in itertools.count(1)) if p not in view.predicates)
 
 
-def _term_pool(rule: FolRule, exclude: str | None = None) -> list[str]:
-    pool = [v for _, v in rule.prefix] + _constants(rule)
+def _term_pool(rule: FolRule, view: _TreeView, exclude: str | None = None) -> list[str]:
+    pool = [v for _, v in rule.prefix] + view.constants
     return [t for t in pool if t != exclude]
 
 
-def _literal_locs(rule: FolRule) -> list[Location]:
-    return [loc for loc, node in iter_locations(rule) if isinstance(node, Literal)]
-
-
-def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
+def _propose(rule: FolRule, view: _TreeView, kind: str, rng: random.Random) -> EditStep | None:
     """One random candidate edit of the given kind, or None if inapplicable."""
     if kind == "change_predicate":
-        loc = rng.choice(_literal_locs(rule))
-        old = get_node(rule, loc).predicate
-        pool = [p for p in _predicates(rule) if p != old]
-        new = rng.choice(pool) if pool else _fresh_predicate(rule, rng)
+        loc, node = rng.choice(view.literals)
+        old = node.predicate
+        pool = [p for p in view.predicates if p != old]
+        new = rng.choice(pool) if pool else _fresh_predicate(view)
         return EditStep(kind, loc, {"old": old, "new": new})
 
     if kind == "change_term":
@@ -365,18 +376,17 @@ def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
             i = rng.randrange(len(rule.prefix))
             return EditStep(
                 kind, ("prefix", i),
-                {"old": rule.prefix[i][1], "new": _fresh_variable(rule, rng)},
+                {"old": rule.prefix[i][1], "new": _fresh_variable(view, rng)},
             )
-        loc = rng.choice(_literal_locs(rule))
-        node = get_node(rule, loc)
+        loc, node = rng.choice(view.literals)
         k = rng.randrange(len(node.args))
-        pool = _term_pool(rule, exclude=node.args[k])
+        pool = _term_pool(rule, view, exclude=node.args[k])
         if not pool:
             pool = [next(c for c in _SYNTH_CONSTANTS if c not in node.args)]
         return EditStep(kind, loc, {"index": k, "old": node.args[k], "new": rng.choice(pool)})
 
     if kind == "change_operator":
-        ops = [(loc, n) for loc, n in iter_locations(rule) if isinstance(n, BinaryOp)]
+        ops = [(loc, n) for loc, n in view.nodes if isinstance(n, BinaryOp)]
         if not ops:
             return None
         loc, node = rng.choice(ops)
@@ -387,16 +397,15 @@ def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
         if rng.random() < 0.5:
             quant = rng.choice((FORALL, EXISTS))
             i = rng.randrange(len(rule.prefix) + 1)
-            return EditStep(kind, ("prefix", i), {"quant": quant, "var": _fresh_variable(rule, rng)})
-        loc = rng.choice(_literal_locs(rule))
-        node = get_node(rule, loc)
-        pool = _term_pool(rule)
+            return EditStep(kind, ("prefix", i), {"quant": quant, "var": _fresh_variable(view, rng)})
+        loc, node = rng.choice(view.literals)
+        pool = _term_pool(rule, view)
         term = rng.choice(pool) if pool else _SYNTH_CONSTANTS[0]
         return EditStep(kind, loc, {"index": rng.randrange(len(node.args) + 1), "term": term})
 
     if kind == "insert_negation":
         spots = [
-            (loc, n) for loc, n in iter_locations(rule)
+            (loc, n) for loc, n in view.nodes
             if not isinstance(n, Negation) and not (isinstance(n, Literal) and n.negated)
         ]
         if not spots:
@@ -406,8 +415,8 @@ def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
         return EditStep(kind, loc, {"mode": mode})
 
     if kind == "insert_formula":
-        pred = _fresh_predicate(rule, rng)
-        pool = _term_pool(rule)
+        pred = _fresh_predicate(view)
+        pool = _term_pool(rule, view)
         arg = rng.choice(pool) if pool else _SYNTH_CONSTANTS[0]
         op = rng.choice(BINARY_OPS)
         return EditStep(kind, ("body",), {"op": op, "side": "right", "formula": f"{pred}({arg})"})
@@ -416,7 +425,7 @@ def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
         variants = []
         if rule.prefix:
             variants.append("prefix")
-        fat = [loc for loc in _literal_locs(rule) if len(get_node(rule, loc).args) > 1]
+        fat = [(loc, n) for loc, n in view.literals if len(n.args) > 1]
         if fat:
             variants.append("arg")
         if not variants:
@@ -425,14 +434,13 @@ def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
             i = rng.randrange(len(rule.prefix))
             q, v = rule.prefix[i]
             return EditStep(kind, ("prefix", i), {"quant": q, "var": v})
-        loc = rng.choice(fat)
-        node = get_node(rule, loc)
+        loc, node = rng.choice(fat)
         k = rng.randrange(len(node.args))
         return EditStep(kind, loc, {"index": k, "term": node.args[k]})
 
     if kind == "delete_negation":
         spots = [
-            (loc, n) for loc, n in iter_locations(rule)
+            (loc, n) for loc, n in view.nodes
             if isinstance(n, Negation) or (isinstance(n, Literal) and n.negated)
         ]
         if not spots:
@@ -442,7 +450,7 @@ def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
         return EditStep(kind, loc, {"mode": mode})
 
     if kind == "delete_formula":
-        ops = [(loc, n) for loc, n in iter_locations(rule) if isinstance(n, BinaryOp)]
+        ops = [(loc, n) for loc, n in view.nodes if isinstance(n, BinaryOp)]
         if not ops:
             return None
         loc, node = rng.choice(ops)
@@ -453,23 +461,72 @@ def _propose(rule: FolRule, kind: str, rng: random.Random) -> EditStep | None:
     raise ValueError(f"unknown edit kind {kind!r}")
 
 
+def _stable_after(view: _TreeView, new_rule: FolRule, step: EditStep) -> bool:
+    """roundtrip_stable(new_rule), where new_rule = _apply(rule, step) for a
+    stable rule and view = _TreeView(rule).
+
+    Such an edit can break stability only through the names it brings in,
+    where the node at its location meets its own children and its parent, and
+    through the operators it adds; the rest of the tree is as stable as it was
+    (Wagner & Graham, TOPLAS 1998: re-check only the changed region).
+    """
+    kind, loc, pl = step.kind, step.loc, step.payload
+    if _is_prefix_loc(loc):
+        # _apply keeps the quantified variables distinct
+        if kind == "delete_term":
+            return True
+        var = pl["new"] if kind == "change_term" else pl["var"]
+        return _is_name(var) and is_variable(var) and (kind == "change_term" or pl["quant"] in QUANTIFIERS)
+    if kind in ("change_predicate", "change_term"):
+        return _is_name(pl["new"])
+    if kind == "insert_term":
+        return _is_name(pl["term"])
+    if kind == "delete_term" or pl.get("mode") == "flag":
+        return True
+
+    # the edit put a new node at loc: a changed operator, a wrapping negation,
+    # an inserted formula, or what a deleted negation or formula kept
+    spine = _spine(new_rule, loc)
+    node = spine[-1]
+    if len(spine) > 1 and isinstance(spine[-2], BinaryOp):
+        if not _nests_bare(spine[-2].op, node, "left" if loc[-1] == 0 else "right"):
+            return False
+    if isinstance(node, BinaryOp) and not (
+        node.op in _STRENGTH
+        and _nests_bare(node.op, node.left, "left")
+        and _nests_bare(node.op, node.right, "right")
+    ):
+        return False
+    if kind == "insert_negation":
+        return view.operators + 1 <= MAX_OPERATORS
+    if kind == "insert_formula":
+        # the inserted formula came from parse, which yields only stable trees
+        sub = node.right if pl["side"] == "right" else node.left
+        added = 1 + sum(not isinstance(n, Literal) for _, n in iter_locations(FolRule((), sub)))
+        return view.operators + added <= MAX_OPERATORS
+    return True
+
+
 def _sample_step(rule: FolRule, rng: random.Random, attempts_per_kind: int = 6) -> tuple[EditStep, FolRule]:
+    """One stable random edit of a stable rule, and the rule it makes."""
+    view = _TreeView(rule)
     kinds = list(ALL_KINDS)
     while kinds:
         kind = rng.choice(kinds)
         for _ in range(attempts_per_kind):
-            step = _propose(rule, kind, rng)
+            step = _propose(rule, view, kind, rng)
             if step is None:
                 break
             try:
-                return step, apply_step(rule, step)
+                new_rule = _apply(rule, step)
             except (InvalidLocation, WouldProduceInvalid):
                 continue
+            if _stable_after(view, new_rule, step):
+                return step, new_rule
         kinds.remove(kind)
     # change_predicate with a synthetic name is always applicable and stable
-    loc = _literal_locs(rule)[0]
-    old = get_node(rule, loc).predicate
-    step = EditStep("change_predicate", loc, {"old": old, "new": _fresh_predicate(rule, rng)})
+    loc, node = view.literals[0]
+    step = EditStep("change_predicate", loc, {"old": node.predicate, "new": _fresh_predicate(view)})
     return step, apply_step(rule, step)
 
 
@@ -480,7 +537,9 @@ def sample_perturbation(
 
     With probability negative_prob the rule is returned unchanged with an
     empty step list.  Applying the returned steps in order to the perturbed
-    rule reproduces the input exactly.
+    rule reproduces the input exactly.  The rule must be print-parse stable,
+    as every parsed rule is: each edit is checked only where it changed the
+    tree.
     """
     perturbed, fixes, _ = _sample_with_texts(rule, config, rng)
     return perturbed, fixes

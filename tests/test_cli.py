@@ -184,6 +184,31 @@ def test_collect_replay(tmp_path):
     assert "accepted 1" in result.output
 
 
+def test_collect_parses_each_candidate_once(tmp_path, monkeypatch):
+    """Each candidate FOL is parsed once, whatever its verdict, and the long
+    predicate still brings the breakdown into the next prompt."""
+    parsed = _count_parses(monkeypatch)
+    candidates = [
+        ("Snow is white.", "White(Snow)"),
+        ("Rain falls.", "Falls(Rain) ="),
+        ("The moon shines at night.", "MoonShinesAtNight(Moon)"),
+        ("Totally unrelated words.", "Octopus(Tentacle)"),
+        ("Nothing here.", ""),
+    ]
+    response = "".join(f"--- NL:\n{nl}\n---\n--- FOL:\n{fol}\n---\n" for nl, fol in candidates)
+    argv = _collect_argv(tmp_path, json.dumps(response) + "\n")
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    run = tmp_path / "run"
+    assert [json.loads(l)["fol"] for l in (run / "accepted.jsonl").read_text().splitlines()] == [
+        "White(Snow)", "MoonShinesAtNight(Moon)"]
+    reasons = [json.loads(l)["reason"] for l in (run / "rejections.jsonl").read_text().splitlines()]
+    assert [r.split(":")[0] for r in reasons] == ["syntax", "alignment", "syntax"]
+    assert reasons[2] == "syntax: empty"
+    assert [parsed.count(fol) for _, fol in candidates[:4]] == [1, 1, 1, 1]
+    assert "" not in parsed
+
+
 @pytest.mark.parametrize("gate_text", ['{"unigrams": ', json.dumps({"unigram_threshold": 1, "unigrams": {"snow": 9}})],
                          ids=["garbage", "stale"])
 def test_collect_ignores_gate_json(tmp_path, gate_text):
@@ -232,8 +257,8 @@ def test_correct_replay_session(tmp_path):
     assert tuples[0]["reward"] == 1.0
 
 
-def test_correct_parses_each_gold_once(tmp_path, monkeypatch):
-    gold = "forall x (Bird(x) -> Flies(x))"  # ASCII, so no canonical answer text equals it
+def _count_parses(monkeypatch) -> list:
+    """The texts parse is called on, wrapped in every folkit module that holds it."""
     real_parse = parser.parse
     parsed = []
 
@@ -246,6 +271,12 @@ def test_correct_parses_each_gold_once(tmp_path, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is real_parse:
                     monkeypatch.setattr(module, attr, counting_parse)
+    return parsed
+
+
+def test_correct_parses_each_gold_once(tmp_path, monkeypatch):
+    gold = "forall x (Bird(x) -> Flies(x))"  # ASCII, so no canonical answer text equals it
+    parsed = _count_parses(monkeypatch)
     rows = _write(tmp_path / "rows.jsonl", json.dumps({"nl": "a", "pred": "∀x (Bird(x) → Swims(x))", "gold": gold}))
     answers = [
         "### Corrections:\nChange the predicate 'Swims' to 'Flies' in 'Swims(x)'\n### FOL:\n∀x (Bird(x) → Flies(x))",
@@ -389,10 +420,14 @@ _RANGE_INPUTS = {
                                   ["perturb", "--negative-prob", "2"], ["perturb", "--negative-prob", "-0.5"],
                                   ["forge", "--negative-prob", "1.01"], ["collect", "--align-threshold", "1.5"],
                                   ["collect", "--align-threshold", "-1"], ["score", "--workers", "0"],
-                                  ["correct", "--max-generations", "0"], ["correct", "--max-generations", "-5"]])
+                                  ["correct", "--max-generations", "0"], ["correct", "--max-generations", "-5"],
+                                  ["forge", "--count", "0"], ["forge", "--count", "-5"],
+                                  ["perturb", "--n-perturb", "-3"], ["perturb", "--n-perturb", "1,-3"],
+                                  ["perturb", "--n-correct", "-1"]])
 def test_score_reward_options_out_of_range_are_usage_errors(tmp_path, argv):
     """Counts and fractions outside their range exit 2 and name the option, for every command."""
-    result = CliRunner().invoke(main, argv + _RANGE_INPUTS[argv[0]](tmp_path))
+    # the option under test comes last, so it overrides any default the inputs pass
+    result = CliRunner().invoke(main, argv[:1] + _RANGE_INPUTS[argv[0]](tmp_path) + argv[1:])
     assert result.exit_code == 2, result.output
     assert argv[1] in result.output
 

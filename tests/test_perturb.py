@@ -1,18 +1,27 @@
 """Perturbation engine: exact inverses, validity preservation, sampling rates."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from folkit.fol import Literal, print_canonical
-from folkit.parser import parse
+import folkit.perturb as perturb_module
+from folkit.fol import AND, BINARY_OPS, BinaryOp, Group, InvalidLocation, Literal, Negation, print_canonical
+from folkit.forge import forge_records
+from folkit.parser import MAX_OPERATORS, FolSyntaxError, parse, roundtrip_stable, validate
 from folkit.perturb import (
     ALL_KINDS,
     NO_CHANGES,
     EditStep,
     PerturbConfig,
     WouldProduceInvalid,
+    _apply,
+    _propose,
     _sample_with_texts,
+    _stable_after,
+    _TreeView,
     apply_step,
     inverse,
     random_rule,
@@ -23,7 +32,6 @@ from folkit.perturb import (
     step_from_dict,
     step_to_dict,
 )
-from folkit.parser import roundtrip_stable, validate
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +181,12 @@ def test_sample_perturbation_changes_when_positive():
     assert print_canonical(perturbed) != print_canonical(rule)
 
 
+@pytest.mark.parametrize("field", ["n_perturb_choices", "n_correct_choices"])
+def test_negative_choice_counts_are_rejected(field):
+    with pytest.raises(ValueError):
+        PerturbConfig(**{field: (1, -1)})
+
+
 def test_split_iteration_chunks():
     steps = [EditStep("change_predicate", ("body",), {"old": f"P{i}", "new": "Q"}) for i in range(5)]
     rng = random.Random(0)
@@ -182,6 +196,152 @@ def test_split_iteration_chunks():
     assert prev == steps and target == []
     prev, target = split_iteration(steps[:1], PerturbConfig(n_correct_choices=(3,)), rng)
     assert prev == [] and target == steps[:1]  # clamped to the sequence length
+
+
+# ---------------------------------------------------------------------------
+# the sampler's edit-local stability check
+
+
+def _padded(rule, operators, rng):
+    """The rule with negations and conjuncts added until its body holds exactly
+    ``operators`` binary operators, groups and negations; it stays stable."""
+    body = rule.body
+    while (have := _TreeView(replace(rule, body=body)).operators) < operators:
+        if operators - have >= 2 and rng.random() < 0.5:
+            left = Group(body) if isinstance(body, BinaryOp) else body
+            body = BinaryOp(AND, left, Literal("P", ("A",)))
+        else:
+            body = Negation(body)
+    return replace(rule, body=body)
+
+
+@st.composite
+def _stable_rules(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rule = random_rule(rng, max_literals=draw(st.integers(1, 8)))
+    size = draw(st.sampled_from([None, MAX_OPERATORS - 1, MAX_OPERATORS]))
+    return rule if size is None else _padded(rule, size, rng)
+
+
+# names and operators the sampler never brings in, beside ones it does
+_NAMES = st.sampled_from(["x", "y7", "A", "Rex", "R1", "forall", "exists", "xor", "x y", "", "1x", "∀", "_u"])
+_OPS = st.sampled_from(BINARY_OPS + ("&", "?"))
+_FORMULAS = st.sampled_from(
+    ["P(x)", "P(A) ∧ Q(B)", "P(A) ∨ Q(B)", "P(A) → Q(A) → R(A)", "(P(A))", "¬(P(A) ↔ Q(A))"]
+)
+
+
+@st.composite
+def _variant(draw, step, view):
+    """The step with its names, operators, formula or location redrawn."""
+    pl = dict(step.payload)
+    loc = step.loc
+    for key in ("new", "var", "term", "quant", "op", "formula"):
+        if key in pl and draw(st.booleans()):
+            if key == "formula":
+                pl[key] = draw(_FORMULAS)
+            elif key == "op" or (key == "new" and step.kind == "change_operator"):
+                pl[key] = draw(_OPS)
+            elif key == "quant":
+                pl[key] = draw(st.sampled_from(["∀", "∃", "forall"]))
+            else:
+                pl[key] = draw(_NAMES)
+    if step.kind in ("insert_formula", "insert_negation") and pl.get("mode") != "flag":
+        loc = draw(st.sampled_from([loc for loc, _ in view.nodes]))
+        if step.kind == "insert_formula":
+            pl["side"] = draw(st.sampled_from(["left", "right"]))
+    return EditStep(step.kind, loc, pl)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=_stable_rules(), seed=st.integers(0, 2**32), data=st.data())
+def test_local_check_equals_roundtrip_stable(rule, seed, data):
+    """On a stable rule, the sampler's verdict on an edit equals the full check
+    of the edited rule: for every edit the sampler proposes, and for variants
+    of them with names it never brings in, unknown operators, other inserted
+    formulas and other locations."""
+    assert roundtrip_stable(rule)
+    view = _TreeView(rule)
+    rng = random.Random(seed)
+    for kind in ALL_KINDS:
+        for _ in range(3):
+            step = _propose(rule, view, kind, rng)
+            if step is None:
+                break
+            for edit in (step, data.draw(_variant(step, view))):
+                try:
+                    new_rule = _apply(rule, edit)
+                except (InvalidLocation, WouldProduceInvalid, FolSyntaxError):
+                    continue
+                assert _stable_after(view, new_rule, edit) == roundtrip_stable(new_rule), edit
+
+
+def test_local_check_refuses_every_kind_of_instability():
+    """An operator that loosens under its parent or over its children, a bad
+    name, a bad prefix variable, and one operator over the bound."""
+    rng = random.Random(11)
+    rule = random_rule(rng, max_literals=5)
+    full = _padded(rule, MAX_OPERATORS, rng)
+    body_ops = [loc for loc, node in _TreeView(full).nodes if isinstance(node, BinaryOp)]
+    cases = [
+        (parse("P(A) ∨ Q(B) ∧ R(C)"), EditStep("change_operator", ("body", 1), {"old": "∧", "new": "↔"})),
+        (parse("P(A) ∨ Q(B) ∧ R(C)"), EditStep("change_operator", ("body",), {"old": "∨", "new": "∧"})),
+        (parse("P(A) ∧ ¬(Q(B) ∨ R(C))"), EditStep("delete_negation", ("body", 1), {"mode": "wrap"})),
+        (parse("P(A) ∨ Q(B)"),
+         EditStep("insert_formula", ("body",), {"op": "∧", "side": "right", "formula": "R(C)"})),
+        (parse("P(A)"), EditStep("change_predicate", ("body",), {"old": "P", "new": "forall"})),
+        (parse("∀x P(x)"), EditStep("change_term", ("prefix", 0), {"old": "x", "new": "X"})),
+        (parse("∀x P(x)"), EditStep("insert_term", ("prefix", 1), {"quant": "∃", "var": "y z"})),
+        (full, EditStep("insert_negation", body_ops[0], {"mode": "wrap"})),
+        (full, EditStep("insert_formula", ("body",), {"op": "∧", "side": "right", "formula": "R1(A)"})),
+        (_padded(rule, MAX_OPERATORS - 1, rng), EditStep("insert_formula", ("body",),
+                                                         {"op": "∧", "side": "right", "formula": "¬(R1(A))"})),
+    ]
+    for before, step in cases:
+        new_rule = _apply(before, step)
+        assert not roundtrip_stable(new_rule), step
+        assert not _stable_after(_TreeView(before), new_rule, step), step
+
+
+def test_forge_t3_walks_each_tree_once_and_never_checks_it_whole(monkeypatch):
+    """Sampling walks each tree once per step and decides stability locally."""
+    walks_per_step, others, walked, checked = [], [], [], []
+    real_step, real_walk = perturb_module._sample_step, perturb_module.iter_locations
+
+    def counting_step(rule, rng, *args):
+        first = len(walked)
+        result = real_step(rule, rng, *args)
+        walks_per_step.append(sum(w is rule for w in walked[first:]))
+        others.extend(w for w in walked[first:] if w is not rule)
+        return result
+
+    def counting_walk(rule):
+        walked.append(rule)
+        return real_walk(rule)
+
+    monkeypatch.setattr(perturb_module, "_sample_step", counting_step)
+    monkeypatch.setattr(perturb_module, "iter_locations", counting_walk)
+    monkeypatch.setattr(perturb_module, "roundtrip_stable", lambda rule: checked.append(rule) or True)
+    rng = random.Random(4)
+    golds = [(f"s{i}", print_canonical(random_rule(rng, max_literals=6))) for i in range(50)]
+    records = list(forge_records(golds, "t3", 400, PerturbConfig(seed=4), None))
+    assert sum(r.meta["n_perturb"] for r in records) == len(walks_per_step) > 1000
+    assert set(walks_per_step) == {1}
+    assert checked == []
+    # every other walk counts the operators of a formula the sampler inserted
+    assert others and all(w.prefix == () and isinstance(w.body, Literal) for w in others)
+
+
+def test_fallback_step_checks_the_whole_tree(monkeypatch):
+    """With every proposal refused, the sampler renames a predicate, checked by apply_step."""
+    checked = []
+    real_check = perturb_module.roundtrip_stable
+    monkeypatch.setattr(perturb_module, "_stable_after", lambda view, new_rule, step: False)
+    monkeypatch.setattr(perturb_module, "roundtrip_stable", lambda rule: checked.append(rule) or real_check(rule))
+    rule = parse("∀x (P(x) → Q(x))")
+    step, new_rule = perturb_module._sample_step(rule, random.Random(0))
+    assert step == EditStep("change_predicate", ("body", 0, 0), {"old": "P", "new": "R1"})
+    assert checked == [new_rule]
 
 
 # ---------------------------------------------------------------------------
