@@ -1,10 +1,15 @@
-"""Recursive-descent parser for the FOL dialect.
+"""Precedence-climbing parser for the FOL dialect.
 
 Accepts both the canonical Unicode connectives and ASCII aliases
 (forall, exists, ~, &, |, ->, <->, xor) and normalizes to the Unicode AST.
 Precedence, tightest first: ¬, ∧, ∨, ⊕, →, ↔.  ∧/∨/⊕/↔ associate left,
 → associates right.  Parentheses become explicit Group nodes so that
 printing reproduces the source structure.
+
+One regex scan splits the text into tokens. Each operand is then parsed by
+one loop that folds the binary operators after it by strength (Pratt, "Top
+down operator precedence", POPL 1973), not by one call per precedence level.
+Character positions are worked out only when an error is raised.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ from dataclasses import dataclass, field
 
 from .fol import (
     AND,
+    BINARY_OPS,
     EXISTS,
     FORALL,
     IFF,
     IMPLIES,
     NOT,
     OR,
+    QUANTIFIERS,
     XOR,
     BinaryOp,
     FolRule,
@@ -36,91 +43,54 @@ class FolSyntaxError(Exception):
     """Ungrammatical input; carries the character position of the offense."""
 
     def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
+        # both in args, so that pickle and copy rebuild the error from them
+        super().__init__(message, pos)
         self.pos = pos
+
+    def __str__(self) -> str:
+        message, pos = self.args
+        return f"{message} (at position {pos})"
 
 
 BANNED_SYMBOLS = ("=", "≠", "%", "!")
 
 # Binary operators plus the parentheses of groups and negations, that is the
-# inner nodes of the tree, so this also bounds its depth. The parser takes seven
-# frames per nested parenthesis (about 710 at the bound); the recursive folds
-# fol.node_text, fol.tokens and metrics._compile_table, and the compiled truth
-# table when called, take one per level. So all stay under Python's default
-# recursion limit of 1000 with room for their callers' frames.
+# inner nodes of the tree, so this also bounds its depth. The parser takes at
+# most one frame per operator, so a rule at the bound parses within
+# MAX_OPERATORS + 10 frames, the few extra ones being parse's own calls and
+# the constructor of the innermost node. The recursive folds fol.node_text,
+# fol.tokens and metrics._compile_table, and the compiled truth table when
+# called, take one per level. So all stay under Python's default recursion
+# limit of 1000 with room for their callers' frames.
 MAX_OPERATORS = 100
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<forall>∀|\bforall\b)
-  | (?P<exists>∃|\bexists\b)
-  | (?P<not>¬|~)
-  | (?P<and>∧|&)
-  | (?P<or>∨|\|)
-  | (?P<xor>⊕|\bxor\b)
-  | (?P<iff>↔|<->)
-  | (?P<imp>→|->)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
-
-_KIND_MAP = {
-    "forall": ("QUANT", FORALL),
-    "exists": ("QUANT", EXISTS),
-    "not": ("NOT", NOT),
-    "and": ("OP", AND),
-    "or": ("OP", OR),
-    "xor": ("OP", XOR),
-    "imp": ("OP", IMPLIES),
-    "iff": ("OP", IFF),
-    "lparen": ("LPAREN", "("),
-    "rparen": ("RPAREN", ")"),
-    "comma": ("COMMA", ","),
-    "ident": ("IDENT", None),
+# Every token text that is not a name, mapped to its canonical symbol. The
+# words are keywords only between word boundaries: "forallé" is the name
+# "forall", then a bad "é".
+_SYMBOLS = {
+    "∀": FORALL, "forall": FORALL,
+    "∃": EXISTS, "exists": EXISTS,
+    "¬": NOT, "~": NOT,
+    "∧": AND, "&": AND,
+    "∨": OR, "|": OR,
+    "⊕": XOR, "xor": XOR,
+    "↔": IFF, "<->": IFF,
+    "→": IMPLIES, "->": IMPLIES,
+    "(": "(", ")": ")", ",": ",",
 }
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    n = len(text)
-    operators = 0
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            if ch in BANNED_SYMBOLS:
-                raise FolSyntaxError(f"banned symbol {ch!r}", pos)
-            raise FolSyntaxError(f"unexpected character {ch!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            name, value = _KIND_MAP[kind]
-            # a parenthesis right after a predicate name opens a literal's arguments,
-            # not a node; after a quantified variable it opens the body
-            opens_args = tokens and tokens[-1].kind == "IDENT" and not (
-                len(tokens) > 1 and tokens[-2].kind == "QUANT"
-            )
-            if name == "OP" or (name == "LPAREN" and not opens_args):
-                operators += 1
-                if operators > MAX_OPERATORS:
-                    raise FolSyntaxError(f"more than {MAX_OPERATORS} operators and parentheses", m.start())
-            tokens.append(_Token(name, value if value is not None else m.group(), m.start()))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", n))
-    return tokens
-
+_KEYWORD_RE = re.compile("|".join(rf"\b{s}\b" for s in _SYMBOLS if s.isalpha()))
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A token is group 1. Any other character is matched outside the group, so
+# findall yields "" for it and skips no character.
+_TOKEN_RE = re.compile(
+    r"\s*(?:("
+    + "|".join(re.escape(s) for s in _SYMBOLS if not s.isalpha())
+    + f"|{_KEYWORD_RE.pattern}|{_NAME_RE.pattern})|\\S)"
+)
+# canonical token texts that are no name; "" stands for a bad character and,
+# at the bottom of a token stack, for the end of the text
+_NOT_NAMES = frozenset(_SYMBOLS.values()) | {""}
+_OPENERS = ("(", *BINARY_OPS)
 
 # operator levels, loosest binding first; → is right-associative
 _LEVELS = [
@@ -130,93 +100,130 @@ _LEVELS = [
     (OR, "left"),
     (AND, "left"),
 ]
+# binding strength of each binary operator (higher binds tighter), the side on
+# which an operator nests under itself without parentheses, and the least
+# strength of an operator inside its right operand
+_STRENGTH = {op: level for level, (op, _) in enumerate(_LEVELS)}
+_ASSOC_SIDE = {op: assoc for op, assoc in _LEVELS}
+_RIGHT_MIN = {op: level + (assoc == "left") for level, (op, assoc) in enumerate(_LEVELS)}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+def _tokenize(text: str) -> list[str]:
+    """The canonical token texts as a stack: the last token on top, above ""
+    for the end of the text."""
+    toks = [_SYMBOLS.get(t, t) for t in _TOKEN_RE.findall(text)]
+    # the count of every "(" and binary operator bounds the operators from above
+    if "" in toks or len(toks) > MAX_OPERATORS and sum(map(toks.count, _OPENERS)) > MAX_OPERATORS:
+        _check_tokens(text)
+    toks.append("")
+    toks.reverse()
+    return toks
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _check_tokens(text: str) -> None:
+    """Raise at the first bad character or at the first operator past
+    MAX_OPERATORS, whichever comes first.
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FolSyntaxError(f"expected {what}, found {tok.value or 'end of input'!r}", tok.pos)
-        return self.next()
+    The operators are the binary operators and each parenthesis that opens no
+    literal's arguments. One right after a name opens them, unless that name
+    is a quantified variable.
+    """
+    operators = 0
+    prev = prev2 = (None, False)  # the last two tokens: (canonical text, is a name)
+    for m in _TOKEN_RE.finditer(text):
+        t, pos = m.group(1), m.start(1)
+        if t is None:
+            pos = m.end() - 1
+            raise FolSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        is_name = t not in _SYMBOLS or (t.isalpha() and not _KEYWORD_RE.match(text, pos))
+        if not is_name:
+            t = _SYMBOLS[t]
+        if t in BINARY_OPS or (t == "(" and not (prev[1] and prev2[0] not in QUANTIFIERS)):
+            operators += 1
+            if operators > MAX_OPERATORS:
+                raise FolSyntaxError(f"more than {MAX_OPERATORS} operators and parentheses", pos)
+        prev2, prev = prev, (t, is_name)
 
-    def parse_rule(self) -> FolRule:
-        prefix: list[tuple[str, str]] = []
-        while self.peek().kind == "QUANT":
-            quant = self.next().value
-            var_tok = self.expect("IDENT", "a variable after quantifier")
-            if not is_variable(var_tok.value):
-                raise FolSyntaxError(f"quantified name {var_tok.value!r} is not a variable", var_tok.pos)
-            if any(v == var_tok.value for _, v in prefix):
-                raise FolSyntaxError(f"variable {var_tok.value!r} quantified twice", var_tok.pos)
-            prefix.append((quant, var_tok.value))
-        body = self.parse_formula(0)
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise FolSyntaxError(f"unexpected {tok.value!r} after formula", tok.pos)
-        return FolRule(tuple(prefix), body)
 
-    def parse_formula(self, level: int) -> FormulaNode:
-        if level >= len(_LEVELS):
-            return self.parse_unary()
-        op, assoc = _LEVELS[level]
-        left = self.parse_formula(level + 1)
-        while self.peek().kind == "OP" and self.peek().value == op:
-            self.next()
-            if assoc == "right":
-                right = self.parse_formula(level)  # recurse at same level
-                return BinaryOp(op, left, right)
-            right = self.parse_formula(level + 1)
-            left = BinaryOp(op, left, right)
-        return left
+class _Unexpected(Exception):
+    """A parse error (message, n) at the token n places from the bottom of the stack."""
 
-    def parse_unary(self) -> FormulaNode:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.next()
-            if self.peek().kind == "LPAREN":
-                self.next()
-                inner = self.parse_formula(0)
-                self.expect("RPAREN", "')'")
-                return Negation(inner)
-            return self.parse_literal(negated=True)
-        if tok.kind == "LPAREN":
-            self.next()
-            inner = self.parse_formula(0)
-            self.expect("RPAREN", "')'")
-            return Group(inner)
-        if tok.kind == "IDENT":
-            return self.parse_literal(negated=False)
-        if tok.kind == "QUANT":
-            raise FolSyntaxError("quantifiers are only allowed at the beginning", tok.pos)
-        raise FolSyntaxError(f"expected a formula, found {tok.value or 'end of input'!r}", tok.pos)
 
-    def parse_literal(self, negated: bool) -> Literal:
-        pred = self.expect("IDENT", "a predicate name")
-        tok = self.peek()
-        if tok.kind != "LPAREN":
-            raise FolSyntaxError(
-                f"predicate {pred.value!r} must be applied to arguments (zero-arity expressions are not allowed)",
-                tok.pos,
-            )
-        self.next()
-        args = [self.expect("IDENT", "a term").value]
-        while self.peek().kind == "COMMA":
-            self.next()
-            args.append(self.expect("IDENT", "a term").value)
-        self.expect("RPAREN", "')'")
-        return Literal(pred.value, tuple(args), negated)
+def _shown(tok: str) -> str:
+    return repr(tok or "end of input")
+
+
+def _rule(toks: list[str]) -> FolRule:
+    prefix: list[tuple[str, str]] = []
+    while toks[-1] in QUANTIFIERS:
+        quant = toks.pop()
+        var = toks.pop()
+        if var in _NOT_NAMES:
+            raise _Unexpected(f"expected a variable after quantifier, found {_shown(var)}", len(toks) + 1)
+        if not is_variable(var):
+            raise _Unexpected(f"quantified name {var!r} is not a variable", len(toks) + 1)
+        if any(v == var for _, v in prefix):
+            raise _Unexpected(f"variable {var!r} quantified twice", len(toks) + 1)
+        prefix.append((quant, var))
+    body = _formula(toks, 0)
+    if len(toks) > 1:
+        raise _Unexpected(f"unexpected {toks[-1]!r} after formula", len(toks))
+    return FolRule(tuple(prefix), body)
+
+
+def _formula(toks: list[str], min_strength: int) -> FormulaNode:
+    """Pop one operand and every binary operator of at least min_strength
+    that follows it, with its right operand."""
+    t = toks.pop()
+    if t not in _NOT_NAMES:
+        left = _literal(t, False, toks)
+    elif t == NOT:
+        t = toks.pop()
+        if t == "(":
+            left = Negation(_formula(toks, 0))
+            _close(toks)
+        elif t in _NOT_NAMES:
+            raise _Unexpected(f"expected a predicate name, found {_shown(t)}", len(toks) + 1)
+        else:
+            left = _literal(t, True, toks)
+    elif t == "(":
+        left = Group(_formula(toks, 0))
+        _close(toks)
+    elif t in QUANTIFIERS:
+        raise _Unexpected("quantifiers are only allowed at the beginning", len(toks) + 1)
+    else:
+        raise _Unexpected(f"expected a formula, found {_shown(t)}", len(toks) + 1)
+    while _STRENGTH.get(toks[-1], -1) >= min_strength:
+        op = toks.pop()
+        left = BinaryOp(op, left, _formula(toks, _RIGHT_MIN[op]))
+    return left
+
+
+def _literal(predicate: str, negated: bool, toks: list[str]) -> Literal:
+    """Pop the argument list that follows a predicate name."""
+    if toks[-1] != "(":
+        raise _Unexpected(
+            f"predicate {predicate!r} must be applied to arguments (zero-arity expressions are not allowed)",
+            len(toks),
+        )
+    toks.pop()
+    args = []
+    while True:
+        t = toks.pop()
+        if t in _NOT_NAMES:
+            raise _Unexpected(f"expected a term, found {_shown(t)}", len(toks) + 1)
+        args.append(t)
+        t = toks[-1]
+        if t != ",":
+            _close(toks)
+            return Literal(predicate, tuple(args), negated)
+        toks.pop()
+
+
+def _close(toks: list[str]) -> None:
+    t = toks.pop()
+    if t != ")":
+        raise _Unexpected(f"expected ')', found {_shown(t)}", len(toks) + 1)
 
 
 def parse(text: str) -> FolRule:
@@ -226,7 +233,14 @@ def parse(text: str) -> FolRule:
         idx = text.find(ch)
         if idx != -1:
             raise FolSyntaxError(f"banned symbol {ch!r}", idx)
-    return _Parser(_tokenize(text)).parse_rule()
+    toks = _tokenize(text)
+    n = len(toks)
+    try:
+        return _rule(toks)
+    except _Unexpected as exc:
+        message, remaining = exc.args
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
+        raise FolSyntaxError(message, starts[n - remaining]) from None
 
 
 @dataclass(frozen=True)
@@ -253,16 +267,9 @@ def validate(text: str) -> Verdict:
     return Verdict(True, rule=rule)
 
 
-# binding strength of each binary operator (higher binds tighter) and the side
-# on which an operator nests under itself without parentheses
-_STRENGTH = {op: level for level, (op, _) in enumerate(_LEVELS)}
-_ASSOC_SIDE = {op: assoc for op, assoc in _LEVELS}
-
-
 def _is_name(name: str) -> bool:
     """A name that _tokenize reads back as one identifier, not a keyword."""
-    m = _TOKEN_RE.fullmatch(name)
-    return m is not None and m.lastgroup == "ident"
+    return _NAME_RE.fullmatch(name) is not None and name not in _SYMBOLS
 
 
 def _nests_bare(parent: str, child: FormulaNode, side: str) -> bool:
@@ -282,7 +289,7 @@ def roundtrip_stable(rule: FolRule) -> bool:
     every literal has arguments; every bare BinaryOp child binds tighter than
     its parent, or is the same operator on its associative side; and the rule
     has at most MAX_OPERATORS binary operators, groups and negations, the
-    nodes whose symbols _tokenize counts.
+    nodes whose symbols _check_tokens counts.
     """
     seen = set()
     for quant, var in rule.prefix:

@@ -26,7 +26,7 @@ from .forge import (
     parse_correction_output,
 )
 from .metrics import RewardConfig, reward
-from .parser import FolSyntaxError, parse
+from .parser import validate
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +70,7 @@ class SessionState:
 
     def __post_init__(self):
         if self.current_rule is None and self.current_fol:
-            self.current_rule = _parse_or_none(self.current_fol)
+            self.current_rule = validate(self.current_fol).rule
 
 
 @dataclass
@@ -102,17 +102,10 @@ def _t3_input(state: SessionState) -> str:
     return input_text
 
 
-def _parse_or_none(text: str) -> FolRule | None:
-    try:
-        return parse(text)
-    except FolSyntaxError:
-        return None
-
-
 def pre_repair(nl: str, fol_pred: str, generator: Generator) -> tuple[str, FolRule]:
     """Return a parseable FOL for the prediction and its parse, asking the
     generator for a one-shot naive repair when the raw prediction does not parse."""
-    rule = _parse_or_none(fol_pred)
+    rule = validate(fol_pred).rule
     if rule is not None:
         return fol_pred, rule
     prompt = f"{NL_MARKER}\n{nl}\n{FOL_MARKER}\n{fol_pred}"
@@ -122,7 +115,7 @@ def pre_repair(nl: str, fol_pred: str, generator: Generator) -> tuple[str, FolRu
         candidate = parsed.fol
     except MalformedOutput:
         candidate = response.strip()
-    rule = _parse_or_none(candidate) if candidate else None
+    rule = validate(candidate).rule
     if rule is not None:
         return candidate, rule
     raise RepairFailed(f"prediction not repairable: {fol_pred!r}")
@@ -157,7 +150,7 @@ def step(
                 state.prev_steps.extend(parsed.steps)
             if parsed.fol is not None and parsed.fol != candidate:
                 candidate = parsed.fol
-                rule = _parse_or_none(candidate)
+                rule = validate(candidate).rule
                 if rule is not None:
                     state.current_fol, state.current_rule = candidate, rule
                 else:
@@ -203,7 +196,7 @@ def run_session(
     if isinstance(gold, str):
         # parsed once for all steps; text that does not parse is passed on,
         # so the first step's reward raises GoldUnparseable
-        gold = _parse_or_none(gold) or gold
+        gold = validate(gold).rule or gold
     state = SessionState(nl=nl, fol_initial=fol0, current_fol=fol0, current_rule=rule0)
     tuples: list[ExperienceTuple] = []
     while state.status == "running":

@@ -1,10 +1,13 @@
 """Grammar, canonical printing, and tree navigation."""
 
+import copy
+import pickle
+import sys
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkit.fol import (
@@ -25,7 +28,8 @@ from folkit.fol import (
 )
 from folkit.forge import _count_operators
 from folkit.metrics import reward, reward_detail
-from folkit.parser import MAX_OPERATORS, FolSyntaxError, parse, roundtrip_stable, validate
+from folkit.parser import MAX_OPERATORS, FolSyntaxError, _is_name, parse, roundtrip_stable, validate
+from parser_reference import parse as reference_parse
 
 
 def test_simple_literal():
@@ -209,6 +213,89 @@ def test_validate_never_raises_and_valid_rules_score(text):
         assert verdict.reason
 
 
+def _depth():
+    """The recursion depth of the caller as the interpreter counts it, C calls
+    between Python frames included: probed by recursing up to the limit."""
+    def down(n):
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - down(1) - 1
+
+
+@pytest.mark.parametrize("text", [
+    "¬(" * MAX_OPERATORS + "P(A)" + ")" * MAX_OPERATORS,
+    _chain("→", MAX_OPERATORS),
+], ids=["nested-negations", "implication-chain"])
+def test_parse_at_the_bound_within_its_frame_budget(text):
+    # the budget of the MAX_OPERATORS comment in folkit/parser.py
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(_depth() + MAX_OPERATORS + 10)
+        rule = parse(text)
+    finally:
+        sys.setrecursionlimit(old)
+    assert rule == reference_parse(text)
+
+
+# ---------------------------------------------------------------------------
+# the one-scan, precedence-climbing parser agrees with the recursive-descent
+# parser it replaced (tests/parser_reference.py) on trees, messages and positions
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except FolSyntaxError as exc:
+        return str(exc), exc.pos
+
+
+# keywords touching non-ASCII word characters, and non-ASCII names
+_WORDY = ["forallé", "xoré", "éxor", "existsé", "éforall", "xor_é", "é", "ℕ", "x²", "xor", "forall", "exists"]
+_SPACES = [" ", "\t", "\n", "\xa0", ""]
+_ASCII_OPS = ["xor", "->", "<->", "&", "|"]
+
+
+def _chain_ending(n, op, last, end, sep):
+    """n binary operators between literals, the last of them written last, then end."""
+    return sep.join(["P(A)"] + [op, "P(A)"] * (n - 1) + [last, end])
+
+
+_parser_text = st.one_of(
+    _dialect_text,
+    st.lists(st.tuples(st.sampled_from(_DIALECT_TOKENS + _WORDY), st.sampled_from(_SPACES)), max_size=30).map(
+        lambda parts: "".join(tok + space for tok, space in parts)),
+    st.builds(_chain_ending, st.integers(MAX_OPERATORS - 1, MAX_OPERATORS + 2), st.sampled_from(_OPS + _ASCII_OPS),
+              st.sampled_from(_ASCII_OPS + ["xoré", "éxor"]), st.sampled_from(["P(A)", "P(A)é", "é", "", "(P(A))"]),
+              st.sampled_from(_SPACES[:4])),
+    st.builds(lambda prefix, n, neg: prefix + ("¬(" if neg else "(") * n + "P(A)" + ")" * n,
+              st.sampled_from(["", "∀x ", "forall x ∃y ", "P(A) ∧ "]), st.integers(MAX_OPERATORS - 1, MAX_OPERATORS + 2),
+              st.booleans()),
+)
+
+
+@settings(max_examples=400)
+@given(_parser_text)
+@example(_chain_ending(MAX_OPERATORS, "∧", "xoré", "P(A)", " "))  # "xor" is a name there, so "é" is the error
+@example(_chain_ending(MAX_OPERATORS + 1, "∧", "xor", "P(A)", " "))
+@example(_chain_ending(MAX_OPERATORS, "∧", "&", "P(A)", "\xa0") + "\t\n")
+@example("forallé x P(x)")
+@example("P(x) ) é")
+def test_parse_matches_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def test_syntax_error_pickles_and_copies():
+    with pytest.raises(FolSyntaxError) as info:
+        parse("P(x) ∧")
+    for exc in (FolSyntaxError("x", 3), info.value):
+        for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+            assert type(clone) is FolSyntaxError
+            assert (str(clone), clone.pos) == (str(exc), exc.pos)
+
+
 # ---------------------------------------------------------------------------
 # roundtrip_stable decides on the tree what printing and reparsing would
 
@@ -222,8 +309,9 @@ def _reparses_to_itself(rule):
 
 
 _GOOD_NAMES = ["P", "Q", "x", "y", "A", "x1", "_a", "Likes", "camelCase", "X", "forallx", "xor_", "Exists"]
+_KEYWORDS = ["forall", "exists", "xor"]
 _BAD_NAMES = [
-    "forall", "exists", "xor",  # keywords
+    *_KEYWORDS,
     "é", "Père", "x²", "ℕ", "Ωx",  # non-ASCII
     "", "a b", "1x", "x-y", "∀", "P(A)",  # not one identifier
 ]
@@ -284,6 +372,21 @@ _rules = st.one_of(
 @given(_rules)
 def test_roundtrip_stable_matches_reparse(rule):
     assert roundtrip_stable(rule) == _reparses_to_itself(rule)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.sampled_from(_GOOD_NAMES + _BAD_NAMES),
+    st.text(st.sampled_from("aZ_0 x9(),é\tℕ"), max_size=4),
+    st.text(max_size=3),
+    st.sampled_from(_KEYWORDS).flatmap(lambda k: st.sampled_from([k + "é", "é" + k, k + "_", k + "1", "_" + k])),
+))
+def test_is_name_is_what_parses_back_as_one_argument(s):
+    try:
+        one_argument = parse(f"P({s})").body == Literal("P", (s,))
+    except FolSyntaxError:
+        one_argument = False
+    assert _is_name(s) == one_argument
 
 
 # ---------------------------------------------------------------------------
