@@ -143,12 +143,13 @@ def validate_cmd(in_path, out_path, dry_run):
     if dry_run:
         click.echo(f"dry-run: {len(rules)} rules to check")
         return
-    verdicts = [(text, validate(text)) for text in rules]
-    n_valid = sum(1 for _, v in verdicts if v)
+    # only what the report needs: a verdict's parsed tree is dropped at once
+    verdicts = [(text, v.valid, v.reason) for text in rules for v in (validate(text),)]
+    n_valid = sum(1 for _, valid, _ in verdicts if valid)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            for text, v in verdicts:
-                rowio.write(fh, {"fol": text, "valid": v.valid, "reason": v.reason})
+            for text, valid, reason in verdicts:
+                rowio.write(fh, {"fol": text, "valid": valid, "reason": reason})
     click.echo(f"checked {len(rules)} rules: {n_valid} valid, {len(rules) - n_valid} invalid")
 
 

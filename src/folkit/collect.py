@@ -16,11 +16,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from . import rowio
 from .fol import FolRule, camel_words, literal_occurrences
-from .parser import FolSyntaxError, parse, validate
+from .parser import validate
 from .parser import Verdict as SyntaxVerdict
 
 log = logging.getLogger(__name__)
@@ -51,17 +51,8 @@ def nl_tokens(text: str) -> list[str]:
 LONG_PREDICATE_WORDS = 4  # ColorChangedToRed is long; EUCountry is not
 
 
-def _rule_or_none(fol: FolRule | str) -> FolRule | None:
-    if isinstance(fol, FolRule):
-        return fol
-    try:
-        return parse(fol)
-    except FolSyntaxError:
-        return None
-
-
 def has_long_predicate(fol: FolRule | str) -> bool:
-    rule = _rule_or_none(fol)
+    rule = fol if isinstance(fol, FolRule) else validate(fol).rule
     if rule is None:
         return False
     return any(len(camel_words(l.predicate)) >= LONG_PREDICATE_WORDS for l in literal_occurrences(rule))
@@ -74,7 +65,7 @@ def has_long_predicate(fol: FolRule | str) -> bool:
 def _ngrams(nl: str) -> tuple[list[str], list[str]]:
     """The unigrams and the trigrams of an NL statement, in order."""
     toks = nl_tokens(nl)
-    return toks, [" ".join(toks[i : i + 3]) for i in range(len(toks) - 2)]
+    return toks, list(map(" ".join, zip(toks, toks[1:], toks[2:])))
 
 
 @dataclass
@@ -82,7 +73,8 @@ class NgramGate:
     """Frequency counter over accepted NL statements.
 
     N-grams at or over their threshold are blocked from future generations.
-    Counts grow only through ``update``, which keeps the blocked sets current.
+    After construction, counts grow only through ``update``, which keeps the
+    blocked sets current.
     """
 
     unigram_threshold: int = 500
@@ -129,6 +121,19 @@ class NgramGate:
             trigrams=Counter(d.get("trigrams", {})),
         )
 
+    @classmethod
+    def from_statements(cls, nls: Iterable[str], **thresholds: int) -> "NgramGate":
+        """The gate that folding ``update`` over ``nls`` builds, with the same
+        counts in the same key order, from one count: the blocked sets are
+        derived once at the end, not checked per statement."""
+        unigrams: Counter = Counter()
+        trigrams: Counter = Counter()
+        for nl in nls:
+            toks, tris = _ngrams(nl)
+            unigrams.update(toks)
+            trigrams.update(tris)
+        return cls(unigrams=unigrams, trigrams=trigrams, **thresholds)
+
 
 # ---------------------------------------------------------------------------
 # alignment check
@@ -146,7 +151,7 @@ def _stem(word: str) -> str:
 def alignment_score(fol: FolRule | str, nl: str) -> float:
     """Fraction of the FOL's term words (CamelCase-split, lowercased,
     stem-matched) present in the NL token set."""
-    rule = _rule_or_none(fol)
+    rule = fol if isinstance(fol, FolRule) else validate(fol).rule
     if rule is None:
         return 0.0
     words: set[str] = set()
@@ -372,9 +377,6 @@ class ReplayGenerator:
             self.responses.append(value)
         self.index = 0
 
-    def remaining(self) -> int:
-        return len(self.responses) - self.index
-
     def generate(self, system: str, user: str) -> str:
         if self.index >= len(self.responses):
             raise ReplayExhausted("replay file exhausted")
@@ -500,19 +502,18 @@ def run_collection(
 
     Pairs go to accepted.jsonl and rejections to rejections.jsonl under
     out_dir as they are judged. accepted.jsonl is the whole state: a rerun
-    resumes from it, folding ``NgramGate.update`` over its rows for the gate.
+    resumes from it, and rebuilds the gate with one n-gram count over its
+    rows (``NgramGate.from_statements``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     accepted_path = out_dir / "accepted.jsonl"
     rejected_path = out_dir / "rejections.jsonl"
 
-    gate = NgramGate()
     accepted: list[tuple[str, str]] = []
     if accepted_path.exists():
-        for _, row in rowio.jsonl(accepted_path, ("nl", "fol")):
-            gate.update(row["nl"])
-            accepted.append((row["nl"], row["fol"]))
+        accepted = [(row["nl"], row["fol"]) for _, row in rowio.jsonl(accepted_path, ("nl", "fol"))]
+    gate = NgramGate.from_statements(nl for nl, _ in accepted)
 
     corpus = list(bootstrap) + accepted
     if max_calls is None:

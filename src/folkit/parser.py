@@ -112,12 +112,27 @@ def _tokenize(text: str) -> list[str]:
     """The canonical token texts as a stack: the last token on top, above ""
     for the end of the text."""
     toks = [_SYMBOLS.get(t, t) for t in _TOKEN_RE.findall(text)]
-    # the count of every "(" and binary operator bounds the operators from above
-    if "" in toks or len(toks) > MAX_OPERATORS and sum(map(toks.count, _OPENERS)) > MAX_OPERATORS:
+    # the count of every "(" and binary operator bounds the operators from
+    # above; only past the bound are the argument lists taken off it
+    if "" in toks or (
+        len(toks) > MAX_OPERATORS
+        and (bound := sum(map(toks.count, _OPENERS))) > MAX_OPERATORS
+        and bound - _argument_lists(toks) > MAX_OPERATORS
+    ):
         _check_tokens(text)
     toks.append("")
     toks.reverse()
     return toks
+
+
+def _argument_lists(toks: list[str]) -> int:
+    """The "(" that open a literal's arguments, in tokens free of bad
+    characters, by _check_tokens' rule: one right after a name, unless that
+    name follows a quantifier."""
+    return sum(
+        t == "(" and name not in _NOT_NAMES and before not in QUANTIFIERS
+        for before, name, t in zip(["", "", *toks], ["", *toks], toks)
+    )
 
 
 def _check_tokens(text: str) -> None:

@@ -524,10 +524,9 @@ def _sample_step(rule: FolRule, rng: random.Random, attempts_per_kind: int = 6) 
             if _stable_after(view, new_rule, step):
                 return step, new_rule
         kinds.remove(kind)
-    # change_predicate with a synthetic name is always applicable and stable
-    loc, node = view.literals[0]
-    step = EditStep("change_predicate", loc, {"old": node.predicate, "new": _fresh_predicate(view)})
-    return step, apply_step(rule, step)
+    # unreachable from a stable rule, where change_predicate always applies
+    # and is always stable
+    raise WouldProduceInvalid("no stable edit found; the rule must be print-parse stable")
 
 
 def sample_perturbation(

@@ -5,12 +5,13 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from folkit import parser
+from folkit import cli, parser
 from folkit.cli import main
 from folkit.forge import NO_CHANGES
 
@@ -43,6 +44,36 @@ def test_validate_counts(tmp_path):
     result = CliRunner().invoke(main, ["validate", "--in", path])
     assert result.exit_code == 0
     assert "2 valid, 1 invalid" in result.output
+
+
+def test_validate_out_keeps_no_parse_tree(tmp_path, monkeypatch):
+    """By the time validate writes its report, every parsed tree is freed."""
+    trees, alive_at_write = [], []
+    real_validate, real_write = cli.validate, cli.rowio.write
+
+    def recording_validate(text):
+        verdict = real_validate(text)
+        if verdict.rule is not None:
+            trees.append(weakref.ref(verdict.rule))
+        return verdict
+
+    def recording_write(fh, value):
+        alive_at_write.append(sum(ref() is not None for ref in trees))
+        real_write(fh, value)
+
+    monkeypatch.setattr(cli, "validate", recording_validate)
+    monkeypatch.setattr(cli.rowio, "write", recording_write)
+    path = _write(tmp_path / "rules.txt", "P(A)\nbroken =\n∀x Q(x)\n")
+    result = CliRunner().invoke(main, ["validate", "--in", path, "--out", str(tmp_path / "report.jsonl")])
+    assert result.exit_code == 0
+    assert len(trees) == 2
+    assert alive_at_write == [0, 0, 0]
+    rows = [json.loads(l) for l in (tmp_path / "report.jsonl").read_text().splitlines()]
+    assert rows == [
+        {"fol": "P(A)", "valid": True, "reason": ""},
+        {"fol": "broken =", "valid": False, "reason": "banned symbol '=' (at position 7)"},
+        {"fol": "∀x Q(x)", "valid": True, "reason": ""},
+    ]
 
 
 def test_validate_empty_file(tmp_path):

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import folkit.collect as collect_module
 from folkit.cli import main
 from folkit.collect import (
     BREAKDOWN_CLAUSE,
@@ -126,6 +127,27 @@ def test_gate_reads_match_full_scan(uni_t, tri_t, unigrams, trigrams, updates, p
             assert gate.blocked() == _full_scan_blocked(gate)
             for nl in probes + updates:
                 assert gate.find_blocked(nl) == _full_scan_find_blocked(gate, nl)
+
+
+_counted_statements = st.lists(st.sampled_from(_GATE_WORDS + ["sun,", "Moon!"]), max_size=5).map(" ".join)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.lists(_counted_statements, max_size=12),
+       st.lists(_counted_statements, min_size=1, max_size=4))
+@example(2, 1, ["", "sun", "sun moon", "sun moon star", "Sun, moon star!"], ["a sun moon star"])
+def test_gate_from_statements_equals_the_update_fold(uni_t, tri_t, nls, probes):
+    folded = NgramGate(uni_t, tri_t)
+    for nl in nls:
+        folded.update(nl)
+    counted = NgramGate.from_statements(iter(nls), unigram_threshold=uni_t, trigram_threshold=tri_t)
+    assert counted == folded
+    assert list(counted.unigrams) == list(folded.unigrams)
+    assert list(counted.trigrams) == list(folded.trigrams)
+    assert counted._blocked_unigrams == folded._blocked_unigrams
+    assert counted._blocked_trigrams == folded._blocked_trigrams
+    assert counted.blocked() == folded.blocked()
+    for nl in probes + nls:
+        assert counted.find_blocked(nl) == folded.find_blocked(nl)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +394,21 @@ def test_resume_rebuilds_gate_from_accepted_rows(tmp_path):
     assert [r["reason"] for r in rejections] == ["blocked-ngram: zebra"]
     user = gen.calls[0][1]
     assert "DO NOT involve" in user and '"zebra"' in user
+
+
+def test_resume_counts_each_prior_row_once(tmp_path, monkeypatch):
+    """The gate is rebuilt by one count: no update per prior row, one tokenization each."""
+    updates, tokenized = [], []
+    real_update, real_tokens = NgramGate.update, collect_module.nl_tokens
+    monkeypatch.setattr(NgramGate, "update", lambda gate, nl: updates.append(nl) or real_update(gate, nl))
+    monkeypatch.setattr(collect_module, "nl_tokens", lambda text: tokenized.append(text) or real_tokens(text))
+    prior = [f"A zebra was seen on day {i}." for i in range(300)]
+    out = tmp_path / "run"
+    _seed_accepted(out, prior)
+    result = run_collection(ScriptedGenerator([]), 301, out, CORPUS, random.Random(0))
+    assert (result.accepted, result.stopped) == (300, "replay-exhausted")
+    assert updates == []
+    assert tokenized == prior
 
 
 class _DownAfter(ScriptedGenerator):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import folkit.parser as parser_module
 from folkit.fol import (
     Atom,
     BinaryOp,
@@ -283,8 +284,26 @@ _parser_text = st.one_of(
 @example(_chain_ending(MAX_OPERATORS, "∧", "&", "P(A)", "\xa0") + "\t\n")
 @example("forallé x P(x)")
 @example("P(x) ) é")
+@example(_chain("∧", 59))  # 299 tokens and 119 "(" and operators, of which 59 operators
+@example(_chain("∧", MAX_OPERATORS))
+@example(_chain("∧", MAX_OPERATORS + 1))
+@example("∀x (" + _chain("→", MAX_OPERATORS - 1).replace("(A)", "(x, A)") + ")")
+@example("∀x (" + _chain("→", MAX_OPERATORS).replace("(A)", "(x, A)") + ")")
 def test_parse_matches_reference_parser(text):
     assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def test_argument_lists_spare_a_valid_long_rule_the_rescan(monkeypatch):
+    """Past the cheap bound, an exact count on the tokens decides the rescan."""
+    rescans = []
+    real_check = parser_module._check_tokens
+    monkeypatch.setattr(parser_module, "_check_tokens", lambda text: rescans.append(text) or real_check(text))
+    text = _chain("∧", 59)
+    assert parse(text) == reference_parse(text)
+    assert rescans == []
+    with pytest.raises(FolSyntaxError):
+        parse(_chain("∧", MAX_OPERATORS + 1))
+    assert len(rescans) == 1
 
 
 def test_syntax_error_pickles_and_copies():

@@ -332,16 +332,11 @@ def test_forge_t3_walks_each_tree_once_and_never_checks_it_whole(monkeypatch):
     assert others and all(w.prefix == () and isinstance(w.body, Literal) for w in others)
 
 
-def test_fallback_step_checks_the_whole_tree(monkeypatch):
-    """With every proposal refused, the sampler renames a predicate, checked by apply_step."""
-    checked = []
-    real_check = perturb_module.roundtrip_stable
+def test_sampler_raises_when_every_proposal_is_refused(monkeypatch):
+    """With every proposal refused, the sampler raises: it has no fallback edit."""
     monkeypatch.setattr(perturb_module, "_stable_after", lambda view, new_rule, step: False)
-    monkeypatch.setattr(perturb_module, "roundtrip_stable", lambda rule: checked.append(rule) or real_check(rule))
-    rule = parse("∀x (P(x) → Q(x))")
-    step, new_rule = perturb_module._sample_step(rule, random.Random(0))
-    assert step == EditStep("change_predicate", ("body", 0, 0), {"old": "P", "new": "R1"})
-    assert checked == [new_rule]
+    with pytest.raises(WouldProduceInvalid, match="must be print-parse stable"):
+        perturb_module._sample_step(parse("∀x (P(x) → Q(x))"), random.Random(0))
 
 
 # ---------------------------------------------------------------------------
