@@ -11,6 +11,7 @@ import logging
 import os
 import random
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import click
@@ -83,18 +84,16 @@ def _log_config(command: str, **options) -> None:
     log.info("run config: %s", json.dumps({"command": command, **options}, default=str, sort_keys=True))
 
 
+def _fol(path: str, n: int, text: str) -> str:
+    """The FOL on a stripped, non-blank line; a JSONL row may carry it under 'fol' or 'FOL'."""
+    if text.startswith("{"):
+        return rowio.row(path, n, text, ("fol",), fold_case=True)["fol"]
+    return text
+
+
 def _read_lines(path: str) -> list[tuple[int, str]]:
-    """(line number, FOL) for each non-blank line; JSONL rows may carry the
-    rule under 'fol' or 'FOL'."""
-    out = []
-    for n, text in rowio.lines(path):
-        text = text.strip()
-        if not text:
-            continue
-        if text.startswith("{"):
-            text = rowio.row(path, n, text, ("fol",), fold_case=True)["fol"]
-        out.append((n, text))
-    return out
+    """(line number, FOL) for each non-blank line."""
+    return [(n, _fol(path, n, text)) for n, raw in rowio.lines(path) if (text := raw.strip())]
 
 
 def _check_counts(path_a: str, rows_a: list, path_b: str, rows_b: list) -> None:
@@ -156,10 +155,10 @@ def validate_cmd(in_path, out_path, dry_run):
 # ---------------------------------------------------------------------------
 
 
-def _score_one(args: tuple[str, int, str, str, float, int]) -> dict:
-    gold_path, line, gold, pred, omega, max_atoms = args
+def _score_one(args: tuple[str, int, str, str, RewardConfig]) -> dict:
+    gold_path, line, gold, pred, config = args
     try:
-        detail = reward_detail(gold, pred, RewardConfig(omega=omega, max_atoms=max_atoms))
+        detail = reward_detail(gold, pred, config)
     except GoldUnparseable as exc:
         raise rowio.InputError(gold_path, line, f"gold rule does not parse: {exc}") from None
     row = {
@@ -176,7 +175,10 @@ def _score_one(args: tuple[str, int, str, str, float, int]) -> dict:
 
 def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
     """(line number of the gold rule, gold, pred) per pair, from --pairs
-    (TSV or JSONL) or from the line-aligned --gold and --pred files."""
+    (TSV or JSONL) or from the line-aligned --gold and --pred files.
+
+    Gold and pred pair by line number. A line blank in both files is
+    skipped; one blank or missing on one side only is a data error."""
     if pairs:
         rows = []
         for n, text in rowio.lines(pairs):
@@ -191,10 +193,17 @@ def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
             else:
                 raise rowio.InputError(pairs, n, "expected a gold<TAB>pred line or a JSON object")
         return rows
-    golds = _read_lines(gold)
-    preds = _read_lines(pred)
-    _check_counts(gold, golds, pred, preds)
-    return [(n, g, p) for (n, g), (_, p) in zip(golds, preds)]
+    gold_lines = [text.strip() for _, text in rowio.lines(gold)]
+    pred_lines = [text.strip() for _, text in rowio.lines(pred)]
+    rows = []
+    for n, (g, p) in enumerate(zip_longest(gold_lines, pred_lines, fillvalue=""), 1):
+        if g and p:
+            rows.append((n, _fol(gold, n, g), _fol(pred, n, p)))
+        elif g or p:
+            path, lines, other = (pred, pred_lines, gold) if g else (gold, gold_lines, pred)
+            gap = "blank" if n <= len(lines) else f"missing: the file ends at line {len(lines)}"
+            raise rowio.InputError(path, n, f"line is {gap}, but {other}:{n} holds a rule")
+    return rows
 
 
 @main.command("score")
@@ -217,7 +226,8 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
         click.echo(f"dry-run: {len(rows)} pairs to score")
         return
     gold_path = pairs or gold
-    work = [(gold_path, n, g, p, omega, max_atoms) for n, g, p in rows]
+    config = RewardConfig(omega=omega, max_atoms=max_atoms)
+    work = [(gold_path, n, g, p, config) for n, g, p in rows]
     if workers > 1:
         # imported here: multiprocessing adds about 12 ms to every start-up,
         # and a one-worker run never uses it

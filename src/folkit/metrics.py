@@ -9,7 +9,11 @@ Bindings are generated one at a time in that greedy order, so a search that
 meets a binding matching every row stops there and builds no other; the
 distances behind the order are computed once per call, by Myers' bit-vector
 algorithm (JACM 1999), in which one integer holds a whole column of the edit
-distance matrix.
+distance matrix. The search is one loop over an explicit stack: each depth
+keeps a cursor into its partners, a claim marks its partner and adds its
+distance to a running cost, backing up releases both, and the last depth
+yields its bindings from a plain loop. So a binding is neither passed up
+through one generator frame per atom nor re-summed for its cost.
 
 Truth tables are bit strings (Knuth, TAOCP 4A §7.1): slot k of a binding is
 one integer whose bit r is (r >> k) & 1, so a body is evaluated over all 2^n
@@ -24,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -57,7 +61,7 @@ class GoldUnparseable(Exception):
     """The reference side of a reward computation failed to parse."""
 
 
-MAX_ATOMS = 20  # highest max_atoms: 2.5 MiB of masks, about 0.45 s for a 1000-binding search
+MAX_ATOMS = 20  # highest max_atoms: 2.5 MiB of masks, about 0.3 s for a 1000-binding search
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,45 @@ class RewardConfig:
             raise ValueError("search_cap must be >= 1")
 
 
-@dataclass(frozen=True)
 class Binding:
-    """One-to-one pairing of atom indices; None marks a dummy partner."""
+    """One-to-one pairing of atom indices; None marks a dummy partner.
+
+    A frozen value with a dataclass's ``==``, ``hash``, ``repr`` and copies.
+    The search builds one per binding, so ``__init__`` sets the slots through
+    their descriptors instead of ``object.__setattr__``.
+    """
+
+    __slots__ = ("pairs", "arity", "cost")
+    __match_args__ = __slots__
 
     pairs: tuple[tuple[int | None, int | None], ...]
     arity: int
-    cost: int = 0  # summed edit distance of the real pairings, for tie-breaks
+    cost: int  # summed edit distance of the real pairings, for tie-breaks
+
+    def __init__(self, pairs: tuple[tuple[int | None, int | None], ...], arity: int, cost: int = 0):
+        _set_pairs(self, pairs)
+        _set_arity(self, arity)
+        _set_cost(self, cost)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.pairs, self.arity, self.cost)
+
+    def __repr__(self) -> str:
+        return f"Binding(pairs={self.pairs!r}, arity={self.arity!r}, cost={self.cost!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pairs, self.arity, self.cost) == (other.pairs, other.arity, other.cost)
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.arity, self.cost))
 
     def describe(self, p: list[Atom], q: list[Atom]) -> list[str]:
         out = []
@@ -90,6 +126,9 @@ class Binding:
             right = q[qi].canonical_text if qi is not None else "DUMMY"
             out.append(f"{left} ↔ {right}")
         return out
+
+
+_set_pairs, _set_arity, _set_cost = (Binding.__dict__[name].__set__ for name in Binding.__slots__)
 
 
 @dataclass(frozen=True)
@@ -150,35 +189,86 @@ def bind_atoms(p: list[Atom], q: list[Atom], search_cap: int = 1000) -> Iterator
     the first list is longer, tried after every real partner) follow
     depth-first. Partners are sorted by distance once per atom, and a stable
     sort keeps ties in index order, so skipping claimed partners gives the
-    order that sorting the unclaimed ones at each step would.
+    order that sorting the unclaimed ones at each step would. The search is
+    one loop over an explicit stack (see ``_search``), so a binding is
+    yielded from the loop that builds it.
     """
     n_p, n_q = len(p), len(q)
-    arity = max(n_p, n_q)
     q_texts = [_masked_text(a) for a in q]
     dist = [[levenshtein(p_text, q_text) for q_text in q_texts] for p_text in map(_masked_text, p)]
     dummy: list[int | None] = [None] if n_p > n_q else []
     order = [sorted(range(n_q), key=row.__getitem__) + dummy for row in dist]
+    return islice(_search(dist, order, n_q), search_cap)
+
+
+def _search(dist: list[list[int]], order: list[list[int | None]], n_q: int) -> Iterator[Binding]:
+    """Every binding, depth-first in ``order``, in one loop over an explicit stack.
+
+    ``cursor[i]`` is the next entry of ``order[i]`` to try at depth i. A
+    claim at depth i sets ``partner[i]``, marks the partner claimed (or
+    spends a dummy), adds its distance to ``cost`` and extends the pairs of
+    the depths above into ``above[i + 1]``; coming back up to depth i
+    releases the claim. The last depth is a plain loop that yields one
+    binding per free partner, each sharing the pair tuples of ``above[last]``.
+    """
+    n_p = len(order)
+    arity = max(n_p, n_q)
+    if n_p == 0:
+        yield Binding(tuple((None, j) for j in range(n_q)), arity, 0)
+        return
+    last = n_p - 1
     partner: list[int | None] = [None] * n_p
     claimed = [False] * n_q
-
-    def search(i: int, dummies_left: int) -> Iterator[Binding]:
-        if i == n_p:
-            leftover = [(None, j) for j in range(n_q) if not claimed[j]]
-            cost = sum(dist[pi][qi] for pi, qi in enumerate(partner) if qi is not None)
-            yield Binding((*enumerate(partner), *leftover), arity, cost)
-            return
-        for j in order[i]:
+    cursor = [0] * n_p
+    above: list[tuple] = [()] * n_p
+    dummies_left = n_p - n_q  # dummies still to place; only > 0 when p is longer
+    cost = 0
+    i = 0
+    while i >= 0:
+        if i == last:
+            pairs, row = above[last], dist[last]
+            if n_q > n_p:  # every partner is real, and the unclaimed ones are left over
+                free = [j for j in range(n_q) if not claimed[j]]
+                for j in order[last]:
+                    if not claimed[j]:
+                        leftover = [(None, k) for k in free if k != j]
+                        yield Binding((*pairs, (last, j), *leftover), arity, cost + row[j])
+            else:
+                for j in order[last]:
+                    if j is None:
+                        if dummies_left > 0:
+                            yield Binding(pairs + ((last, None),), arity, cost)
+                    elif not claimed[j]:
+                        yield Binding(pairs + ((last, j),), arity, cost + row[j])
+            i -= 1
+            continue
+        options, c = order[i], cursor[i]
+        if c:  # back from depth i + 1: release the claim made here
+            j = partner[i]
             if j is None:
-                if dummies_left > 0:
-                    partner[i] = None
-                    yield from search(i + 1, dummies_left - 1)
-            elif not claimed[j]:
-                partner[i] = j
-                claimed[j] = True
-                yield from search(i + 1, dummies_left)
+                dummies_left += 1
+            else:
                 claimed[j] = False
-
-    return islice(search(0, n_p - n_q), search_cap)
+                cost -= dist[i][j]
+        for c in range(c, len(options)):
+            j = options[c]
+            if j is None:
+                if dummies_left <= 0:
+                    continue
+                dummies_left -= 1
+            elif claimed[j]:
+                continue
+            else:
+                claimed[j] = True
+                cost += dist[i][j]
+            partner[i] = j
+            cursor[i] = c + 1
+            above[i + 1] = above[i] + ((i, j),)
+            i += 1
+            cursor[i] = 0
+            break
+        else:  # depth i is exhausted
+            i -= 1
 
 
 # ---------------------------------------------------------------------------

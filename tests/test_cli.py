@@ -98,6 +98,38 @@ def test_score_misaligned_files_is_data_error(tmp_path):
     assert result.exit_code == 3
 
 
+def test_score_pairs_gold_and_pred_by_line_number(tmp_path):
+    """Lines blank in both files are skipped; every other pair keeps its own line number."""
+    g = _write(tmp_path / "g.txt", "P(A)\n\nQ(B)\n  \n\n" + json.dumps({"FOL": "R(C)"}) + "\n")
+    p = _write(tmp_path / "p.txt", "P(A)\n\nQ(B)\n\n\nR(C)\n\n")
+    out = tmp_path / "scores.jsonl"
+    result = CliRunner().invoke(main, ["score", "--gold", g, "--pred", p, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [(r["gold"], r["pred"], r["le"]) for r in rows] == [("P(A)", "P(A)", 1.0), ("Q(B)", "Q(B)", 1.0),
+                                                                ("R(C)", "R(C)", 1.0)]
+    bad_gold = _write(tmp_path / "bad.txt", "P(A)\n\nQ(B) =\n")
+    short_pred = _write(tmp_path / "short.txt", "P(A)\n\nQ(B)\n")
+    result = CliRunner().invoke(main, ["score", "--gold", bad_gold, "--pred", short_pred])
+    assert result.exit_code == 3
+    assert "bad.txt:3: gold rule does not parse" in result.output
+
+
+def test_score_builds_one_reward_config_per_run(tmp_path, monkeypatch):
+    real, built = cli.RewardConfig, []
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "RewardConfig", counting)
+    pairs = _write(tmp_path / "pairs.tsv", "P(A)\tP(A)\nP(A)\t¬P(A)\nQ(B)\tQ(B)\n")
+    result = CliRunner().invoke(main, ["score", "--pairs", pairs, "--omega", "0.5", "--max-atoms", "4"])
+    assert result.exit_code == 0, result.output
+    assert "over 3 pairs" in result.output
+    assert [(c.omega, c.max_atoms) for c in built] == [(0.5, 4)]
+
+
 def test_score_requires_inputs():
     result = CliRunner().invoke(main, ["score"])
     assert result.exit_code == 2
@@ -366,6 +398,12 @@ _GOOD_ROW = json.dumps({"nl": "a", "pred": "P(A)", "gold": "P(A)"})
 MALFORMED = [
     ("tsv-row-without-tab", lambda t: ["score", "--pairs", _write(t / "pairs.tsv", "P(A)\tP(A)\nP(A) P(B)\n")],
      ["pairs.tsv:2:"]),
+    ("score-gold-line-blank", lambda t: ["score", "--gold", _write(t / "g.txt", "P(A)\n\nQ(B)\nR(C)\n"),
+                                         "--pred", _write(t / "p.txt", "P(A)\nQ(B)\n\nS(D)\n")],
+     ["g.txt:2: line is blank, but", "p.txt:2"]),
+    ("score-pred-line-missing", lambda t: ["score", "--gold", _write(t / "g.txt", "P(A)\n\nQ(B)\n"),
+                                           "--pred", _write(t / "p.txt", "P(A)\n\n")],
+     ["p.txt:3: line is missing", "g.txt:3"]),
     ("bins-bad-json", lambda t: ["bins", "--in", _write(t / "s.jsonl", '{"gpt_le": 1.0}\n{bad\n'),
                                  "--edges", "1.0,0.0"], ["s.jsonl:2:"]),
     ("correct-unparseable-gold", lambda t: _correct_argv(

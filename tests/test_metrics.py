@@ -5,7 +5,10 @@ Reference values are computed by brute force in the tests themselves
 implementation under test.
 """
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -18,6 +21,8 @@ from folkit.metrics import (
     MAX_ATOMS,
     Binding,
     GoldUnparseable,
+    LeResult,
+    RewardBreakdown,
     RewardConfig,
     TooManyAtoms,
     bind_atoms,
@@ -169,6 +174,51 @@ def test_bind_atoms_respects_search_cap():
     assert len(list(bind_atoms(p, p, search_cap=10))) == 10
 
 
+# the frozen dataclass that Binding was, kept as the reference for its value contract
+_DataclassBinding = dataclasses.make_dataclass(
+    "Binding", [("pairs", tuple), ("arity", int), ("cost", int, dataclasses.field(default=0))], frozen=True
+)
+
+_COPIES = {
+    **{f"pickle-{n}": (lambda v, n=n: pickle.loads(pickle.dumps(v, n))) for n in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("copier", _COPIES.values(), ids=_COPIES.keys())
+def test_binding_and_results_survive_pickle_and_copy(copier):
+    binding = Binding(((0, 1), (1, None), (None, 0)), 3, 4)
+    le = LeResult(0.75, binding, 8, 6)
+    breakdown = RewardBreakdown(0.8, 0.75, 0.9, binding, ["a note"])
+    for value in (binding, le, breakdown):
+        twin = copier(value)
+        assert type(twin) is type(value)
+        assert twin == value
+    assert hash(copier(binding)) == hash(binding)
+    assert hash(copier(le)) == hash(le)
+    assert copier(breakdown).binding == binding
+
+
+def test_binding_keeps_the_dataclass_value_contract():
+    args = (((0, 1), (1, None), (None, 0)), 3, 4)
+    binding, reference = Binding(*args), _DataclassBinding(*args)
+    assert repr(binding) == repr(reference) == "Binding(pairs=((0, 1), (1, None), (None, 0)), arity=3, cost=4)"
+    assert repr(Binding(((0, 0),), 1)) == repr(_DataclassBinding(((0, 0),), 1))
+    assert repr(LeResult(1.0, binding, 8, 8)).endswith(f"binding={reference!r}, rows_total=8, rows_matched=8)")
+    assert hash(binding) == hash(reference)
+    assert binding == Binding(pairs=args[0], arity=3, cost=4)
+    assert binding != Binding(args[0], 3, 5)
+    assert binding != args and binding != reference
+    assert Binding(((0, 0),), 1).cost == 0
+    for name in ("pairs", "arity", "cost", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(binding, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(binding, name)
+    assert binding == Binding(*args)
+
+
 def test_levenshtein():
     assert levenshtein("", "abc") == 3
     assert levenshtein("kitten", "sitting") == 3
@@ -248,13 +298,17 @@ _ATOMS = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_bind_atoms_follows_the_reference_order(shape, data):
-    """Dummies (more gold atoms), leftovers (fewer) and plain permutations, up to 6! bindings."""
-    hi = data.draw(st.integers(1, 6), label="larger count")
+    """Dummies (more gold atoms), leftovers (fewer) and plain permutations.
+
+    Up to 7! = 5,040 bindings, so a cap of up to 1000 can stop the search
+    midway through the enumeration.
+    """
+    hi = data.draw(st.integers(1, 7), label="larger count")
     lo = data.draw(st.integers(0, hi - 1), label="smaller count")
     n_p, n_q = {"more gold atoms": (hi, lo), "fewer gold atoms": (lo, hi), "equal counts": (hi, hi)}[shape]
     p = data.draw(st.lists(_ATOMS, min_size=n_p, max_size=n_p, unique=True), label="gold atoms")
     q = data.draw(st.lists(_ATOMS, min_size=n_q, max_size=n_q, unique=True), label="pred atoms")
-    k = data.draw(st.integers(1, 800), label="bindings taken")
+    k = data.draw(st.integers(1, 1000), label="bindings taken")
     assert list(bind_atoms(p, q, k)) == _reference_bind_atoms(p, q, k)
 
 
