@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 2 usage error, 3 input data error, 4 endpoint error.
 Every run logs its resolved configuration so outputs are reproducible.
+
+Imports: this module loads only rowio, fol and parser, which every command
+uses. A command imports what else it runs at the top of its own body, before
+it reads any input, so a --dry-run loads the same modules as a real run. It
+never imports in a per-item path such as _score_one. The errors that exit 3
+and 4 derive from rowio.DataFault and rowio.EndpointFault, so mapping them
+imports nothing either.
 """
 
 from __future__ import annotations
@@ -11,34 +18,20 @@ import logging
 import os
 import random
 import sys
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import click
 
 from . import __version__, rowio
-from .collect import (
-    EndpointUnavailable,
-    HttpGenerator,
-    InsufficientCorpus,
-    ReplayGenerator,
-    run_collection,
-)
 from .fol import print_canonical
-from .forge import (
-    GoldUnparseableRow,
-    MissingPrediction,
-    bin_scores,
-    corpus_stats,
-    forge_records,
-    load_pairs,
-    write_records,
-)
-from .metrics import MAX_ATOMS, GoldUnparseable, RewardConfig, reward_detail
 from .parser import FolSyntaxError, validate
 from .parser import parse as parse_fol
-from .perturb import PerturbConfig, _sample_with_texts, step_to_dict
-from .session import SessionConfig, run_batch
+
+if TYPE_CHECKING:
+    from .metrics import RewardBreakdown, RewardConfig
 
 log = logging.getLogger("folkit")
 
@@ -56,19 +49,15 @@ class EndpointError(click.ClickException):
     exit_code = EXIT_ENDPOINT
 
 
-# failures of the input data, whichever command meets them
-DATA_ERRORS = (rowio.InputError, GoldUnparseable, GoldUnparseableRow, MissingPrediction, InsufficientCorpus)
-
-
 class _Main(click.Group):
-    """Maps data errors to exit code 3 and endpoint failures to 4, for every command."""
+    """Maps data faults to exit code 3 and endpoint faults to 4, for every command."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except DATA_ERRORS as exc:
+        except rowio.DataFault as exc:
             raise DataError(str(exc)) from exc
-        except EndpointUnavailable as exc:
+        except rowio.EndpointFault as exc:
             raise EndpointError(str(exc)) from exc
 
 
@@ -94,6 +83,21 @@ def _fol(path: str, n: int, text: str) -> str:
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """(line number, FOL) for each non-blank line."""
     return [(n, _fol(path, n, text)) for n, raw in rowio.lines(path) if (text := raw.strip())]
+
+
+def _aligned(path_a: str, path_b: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, stripped line of a, stripped line of b) for each line
+    number non-blank in both files. A line blank in both is skipped; one
+    blank or missing on one side only is a data error."""
+    lines_a = [text.strip() for _, text in rowio.lines(path_a)]
+    lines_b = [text.strip() for _, text in rowio.lines(path_b)]
+    for n, (a, b) in enumerate(zip_longest(lines_a, lines_b, fillvalue=""), 1):
+        if a and b:
+            yield n, a, b
+        elif a or b:
+            path, lines, other = (path_b, lines_b, path_a) if a else (path_a, lines_a, path_b)
+            gap = "blank" if n <= len(lines) else f"missing: the file ends at line {len(lines)}"
+            raise rowio.InputError(path, n, f"line is {gap}, but {other}:{n} is not")
 
 
 def _check_counts(path_a: str, rows_a: list, path_b: str, rows_b: list) -> None:
@@ -155,11 +159,14 @@ def validate_cmd(in_path, out_path, dry_run):
 # ---------------------------------------------------------------------------
 
 
-def _score_one(args: tuple[str, int, str, str, RewardConfig]) -> dict:
+def _score_one(reward_detail: Callable[..., RewardBreakdown],
+               args: tuple[str, int, str, str, RewardConfig]) -> dict:
+    """One output row. ``reward_detail`` is metrics.reward_detail, passed in
+    so that this per-pair path imports nothing."""
     gold_path, line, gold, pred, config = args
     try:
         detail = reward_detail(gold, pred, config)
-    except GoldUnparseable as exc:
+    except rowio.DataFault as exc:  # metrics.GoldUnparseable
         raise rowio.InputError(gold_path, line, f"gold rule does not parse: {exc}") from None
     row = {
         "gold": gold,
@@ -193,17 +200,7 @@ def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
             else:
                 raise rowio.InputError(pairs, n, "expected a gold<TAB>pred line or a JSON object")
         return rows
-    gold_lines = [text.strip() for _, text in rowio.lines(gold)]
-    pred_lines = [text.strip() for _, text in rowio.lines(pred)]
-    rows = []
-    for n, (g, p) in enumerate(zip_longest(gold_lines, pred_lines, fillvalue=""), 1):
-        if g and p:
-            rows.append((n, _fol(gold, n, g), _fol(pred, n, p)))
-        elif g or p:
-            path, lines, other = (pred, pred_lines, gold) if g else (gold, gold_lines, pred)
-            gap = "blank" if n <= len(lines) else f"missing: the file ends at line {len(lines)}"
-            raise rowio.InputError(path, n, f"line is {gap}, but {other}:{n} holds a rule")
-    return rows
+    return [(n, _fol(gold, n, g), _fol(pred, n, p)) for n, g, p in _aligned(gold, pred)]
 
 
 @main.command("score")
@@ -211,14 +208,19 @@ def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
 @click.option("--pred", type=click.Path(exists=True), help="Predicted rules, line-aligned with --gold.")
 @click.option("--pairs", type=click.Path(exists=True), help="Alternatively: TSV or JSONL (gold, pred) pairs.")
 @click.option("--omega", default=0.7, show_default=True, type=click.FloatRange(0.0, 1.0))
-@click.option("--max-atoms", default=16, show_default=True, type=click.IntRange(1, MAX_ATOMS))
+@click.option("--max-atoms", default=16, show_default=True, type=click.IntRange(min=1),
+              help="Atom cap for LE, at most metrics.MAX_ATOMS.")
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(1, os.cpu_count()))
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--dry-run", is_flag=True)
 def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
     """Score (gold, pred) pairs: LE, BLEU, mixed reward, and the binding used."""
+    from .metrics import MAX_ATOMS, RewardConfig, reward_detail
+
     if not pairs and not (gold and pred):
         raise click.UsageError("provide --pairs or both --gold and --pred")
+    if max_atoms > MAX_ATOMS:
+        raise click.BadParameter(f"{max_atoms} is not in the range 1<=x<={MAX_ATOMS}.", param_hint="'--max-atoms'")
     _log_config("score", gold=gold, pred=pred, pairs=pairs, omega=omega,
                 max_atoms=max_atoms, workers=workers, out_path=out_path, dry_run=dry_run)
     rows = _load_pairs_for_scoring(gold, pred, pairs)
@@ -228,15 +230,16 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
     gold_path = pairs or gold
     config = RewardConfig(omega=omega, max_atoms=max_atoms)
     work = [(gold_path, n, g, p, config) for n, g, p in rows]
+    score = partial(_score_one, reward_detail)
     if workers > 1:
         # imported here: multiprocessing adds about 12 ms to every start-up,
         # and a one-worker run never uses it
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            results = pool.map(_score_one, work)
+            results = pool.map(score, work)
     else:
-        results = [_score_one(w) for w in work]
+        results = [score(w) for w in work]
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             for row in results:
@@ -264,6 +267,8 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
 @click.option("--dry-run", is_flag=True)
 def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dry_run):
     """Emit one perturbation record per input rule."""
+    from .perturb import PerturbConfig, _sample_with_texts, step_to_dict
+
     config = PerturbConfig(
         n_perturb_choices=n_perturb,
         n_correct_choices=n_correct,
@@ -313,10 +318,13 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
 @click.option("--dry-run", is_flag=True)
 def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, dry_run):
     """Forge training records from (NL, FOL) pairs."""
+    from .forge import forge_records, write_records
+    from .perturb import PerturbConfig
+
     config = PerturbConfig(negative_prob=negative_prob, seed=seed)
     _log_config("forge", task=task, count=count, seed=seed, in_path=in_path,
                 out_path=out_path, predictions=predictions, dry_run=dry_run)
-    pairs = load_pairs(in_path)
+    pairs = rowio.load_pairs(in_path)
     if not pairs:
         raise DataError(f"no pairs in {in_path}")
     preds = None
@@ -345,8 +353,10 @@ def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, 
 @click.option("--dry-run", is_flag=True)
 def stats_cmd(in_path, out_path, top_terms, top_pairs, dry_run):
     """Corpus statistics over an (NL, FOL) pairs file."""
+    from .forge import corpus_stats
+
     _log_config("stats", in_path=in_path, out_path=out_path, dry_run=dry_run)
-    pairs = load_pairs(in_path)
+    pairs = rowio.load_pairs(in_path)
     if dry_run:
         click.echo(f"dry-run: {len(pairs)} pairs to analyze")
         return
@@ -375,6 +385,8 @@ def stats_cmd(in_path, out_path, top_terms, top_pairs, dry_run):
 @click.option("--dry-run", is_flag=True)
 def bins_cmd(in_path, edges, group_key, out_path, dry_run):
     """Per-bin score means grouped by one score column."""
+    from .forge import bin_scores
+
     _log_config("bins", in_path=in_path, edges=edges, group_key=group_key, dry_run=dry_run)
     rows = []
     for n, row in rowio.jsonl(in_path):
@@ -398,7 +410,7 @@ def bins_cmd(in_path, edges, group_key, out_path, dry_run):
 
 
 @main.command("collect")
-@click.option("--target", required=True, type=int)
+@click.option("--target", required=True, type=click.IntRange(min=0))
 @click.option("--endpoint", default=None, help="Chat-completions base URL.")
 @click.option("--model", default="gpt-4", show_default=True)
 @click.option("--replay", type=click.Path(exists=True), default=None,
@@ -408,16 +420,18 @@ def bins_cmd(in_path, edges, group_key, out_path, dry_run):
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--align-threshold", default=0.5, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-calls", default=None, type=int)
+@click.option("--max-calls", default=None, type=click.IntRange(min=1))
 @click.option("--dry-run", is_flag=True)
 def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_threshold, seed, max_calls, dry_run):
     """Collect NL-FOL pairs from a generator endpoint or a replay file."""
+    from .collect import HttpGenerator, ReplayGenerator, run_collection
+
     if not replay and not endpoint:
         raise click.UsageError("provide --endpoint or --replay")
     _log_config("collect", target=target, endpoint=endpoint, replay=replay, bootstrap=bootstrap,
                 out_dir=out_dir, align_threshold=align_threshold, seed=seed,
                 max_calls=max_calls, dry_run=dry_run)
-    pairs = load_pairs(bootstrap)
+    pairs = rowio.load_pairs(bootstrap)
     if dry_run:
         click.echo(f"dry-run: target {target}, bootstrap corpus of {len(pairs)}")
         return
@@ -449,23 +463,30 @@ def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_thres
 @click.option("--dry-run", is_flag=True)
 def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, omega, out_path, dry_run):
     """Run iterative correction sessions and stream experience tuples."""
+    from .collect import HttpGenerator, ReplayGenerator
+    from .metrics import RewardConfig
+    from .session import SessionConfig, run_batch
+
     if not replay and not endpoint:
         raise click.UsageError("provide --endpoint or --replay")
     _log_config("correct", in_path=in_path, gold_path=gold_path, endpoint=endpoint, model=model,
                 replay=replay, max_generations=max_generations, omega=omega, out_path=out_path,
                 dry_run=dry_run)
-    numbered = list(rowio.jsonl(in_path, ("nl", "pred")))
-    gold_file, gold_lines = in_path, numbered  # the file and lines each row's gold comes from
     if gold_path:
-        gold_file, gold_lines = gold_path, _read_lines(gold_path)
-        _check_counts(gold_path, gold_lines, in_path, numbered)
-        for (_, row), (_, g) in zip(numbered, gold_lines):
-            row["gold"] = g
+        # a row and its gold share a line number, as in score --gold/--pred
+        numbered = []
+        for n, text, gold in _aligned(in_path, gold_path):
+            row = rowio.row(in_path, n, text, ("nl", "pred"))
+            row["gold"] = _fol(gold_path, n, gold)
+            numbered.append((n, row))
+    else:
+        numbered = list(rowio.jsonl(in_path, ("nl", "pred")))
+    gold_file = gold_path or in_path  # the file each row's gold comes from, at the row's line
     rows = [row for _, row in numbered]
     if dry_run:
         click.echo(f"dry-run: {len(rows)} sessions to run")
         return
-    for (n, _), row in zip(gold_lines, rows):
+    for n, row in numbered:
         gold = row.get("gold")
         if gold is None:
             continue

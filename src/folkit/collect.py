@@ -26,7 +26,7 @@ from .parser import Verdict as SyntaxVerdict
 log = logging.getLogger(__name__)
 
 
-class EndpointUnavailable(Exception):
+class EndpointUnavailable(rowio.EndpointFault):
     pass
 
 
@@ -34,7 +34,7 @@ class ReplayExhausted(EndpointUnavailable):
     """A replayed or scripted generator has no responses left."""
 
 
-class InsufficientCorpus(Exception):
+class InsufficientCorpus(rowio.DataFault):
     pass
 
 

@@ -42,6 +42,7 @@ from .perturb import (
     step_from_dict,
     step_to_dict,
 )
+from .rowio import load_pairs  # noqa: F401 - forge.load_pairs is the same function
 
 log = logging.getLogger(__name__)
 
@@ -53,11 +54,11 @@ PREV_MARKER = "### Previous steps:"
 CORR_MARKER = "### Corrections:"
 
 
-class GoldUnparseableRow(Exception):
+class GoldUnparseableRow(rowio.DataFault):
     pass
 
 
-class MissingPrediction(Exception):
+class MissingPrediction(rowio.DataFault):
     pass
 
 
@@ -97,18 +98,6 @@ class CorrectionRecord:
         for d in self.prev_steps + self.target_steps:
             rule = apply_step(rule, step_from_dict(d))
         return print_canonical(rule)
-
-
-# ---------------------------------------------------------------------------
-# pair loading
-
-
-def load_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """(NL, FOL) pairs from a JSONL file or a JSON array.
-
-    Recognized keys per row: nl/fol, NL/FOL (case-insensitive).
-    """
-    return [(row["nl"], row["fol"]) for row in rowio.jsonl_or_array(path, ("nl", "fol"), fold_case=True)]
 
 
 # ---------------------------------------------------------------------------

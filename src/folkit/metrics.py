@@ -32,6 +32,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
+from . import rowio
 from .fol import (
     AND,
     IFF,
@@ -57,7 +58,7 @@ class TooManyAtoms(Exception):
     """Combined atom count exceeds the truth-table cap."""
 
 
-class GoldUnparseable(Exception):
+class GoldUnparseable(rowio.DataFault):
     """The reference side of a reward computation failed to parse."""
 
 

@@ -5,6 +5,9 @@ decoded per line, and a row must be an object whose named fields hold text.
 Every malformed input raises InputError, whose message starts with
 ``path:line:`` (``path:[i]:`` for an element of a JSON array). Locations are
 formatted only when an error is shown, so reading stays a plain stream.
+
+The two base classes below let the CLI sort every command's failures into
+exit codes without importing the modules that raise them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ import json
 from typing import IO, Iterator
 
 
-class InputError(Exception):
+class DataFault(Exception):
+    """A failure of the input data, whichever command meets it (CLI exit 3)."""
+
+
+class EndpointFault(Exception):
+    """A generator endpoint that cannot serve (CLI exit 4)."""
+
+
+class InputError(DataFault):
     """A malformed input file; ``str()`` starts with the location."""
 
     def __init__(self, path, where, message: str):
@@ -82,6 +93,11 @@ def jsonl_or_array(path, fields: tuple[str, ...], fold_case: bool = False) -> It
                 yield check(path, f"[{i}]", value, fields, fold_case)
             return
         yield row(path, n, text, fields, fold_case)
+
+
+def load_pairs(path) -> list[tuple[str, str]]:
+    """(NL, FOL) pairs from a JSONL file or a JSON array; keys nl/fol in any case."""
+    return [(row["nl"], row["fol"]) for row in jsonl_or_array(path, ("nl", "fol"), fold_case=True)]
 
 
 def write(fh: IO[str], value: dict) -> None:

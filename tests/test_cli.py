@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import folkit.metrics
 from folkit import cli, parser
 from folkit.cli import main
 from folkit.forge import NO_CHANGES
@@ -116,13 +117,13 @@ def test_score_pairs_gold_and_pred_by_line_number(tmp_path):
 
 
 def test_score_builds_one_reward_config_per_run(tmp_path, monkeypatch):
-    real, built = cli.RewardConfig, []
+    real, built = folkit.metrics.RewardConfig, []
 
     def counting(*args, **kwargs):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cli, "RewardConfig", counting)
+    monkeypatch.setattr(folkit.metrics, "RewardConfig", counting)
     pairs = _write(tmp_path / "pairs.tsv", "P(A)\tP(A)\nP(A)\t¬P(A)\nQ(B)\tQ(B)\n")
     result = CliRunner().invoke(main, ["score", "--pairs", pairs, "--omega", "0.5", "--max-atoms", "4"])
     assert result.exit_code == 0, result.output
@@ -323,7 +324,15 @@ def test_correct_replay_session(tmp_path):
 
 
 def _count_parses(monkeypatch) -> list:
-    """The texts parse is called on, wrapped in every folkit module that holds it."""
+    """The texts parse is called on, wrapped in every folkit module that holds it.
+
+    A command imports its modules only when it runs, so the ones whose calls
+    are counted are imported here first: each then holds the real parse when
+    it is wrapped, whatever ran before, and none is first loaded holding the
+    wrapper."""
+    import folkit.collect  # noqa: F401
+    import folkit.session  # noqa: F401 - and forge, metrics and perturb
+
     real_parse = parser.parse
     parsed = []
 
@@ -416,6 +425,9 @@ MALFORMED = [
     ("collect-bad-replay-line", lambda t: _collect_argv(t, '"ok"\n{oops\n'), ["replay.jsonl:2:"]),
     ("collect-bad-accepted-on-resume", lambda t: _collect_argv(
         t, '"ok"\n', {"accepted.jsonl": '{"nl": "a", "fol": "P(A)"}\ngarbage\n'}), ["accepted.jsonl:2:"]),
+    ("correct-gold-line-blank", lambda t: _correct_argv(
+        t, json.dumps({"nl": "a", "pred": "P(A)"}) + "\n\n" + json.dumps({"nl": "b", "pred": "Q(B)"}) + "\n")
+     + ["--gold", _write(t / "gold.txt", "P(A)\nQ(B)\n\n")], ["rows.jsonl:2: line is blank, but", "gold.txt:2"]),
     ("correct-row-without-pred", lambda t: _correct_argv(t, '{"nl": "a"}\n'), ["rows.jsonl:1:"]),
     ("correct-gold-not-text", lambda t: _correct_argv(t, json.dumps({"nl": "a", "pred": "P(A)", "gold": 5}) + "\n"),
      ["rows.jsonl:1: gold rule does not parse: not text"]),
@@ -494,7 +506,8 @@ _RANGE_INPUTS = {
                                   ["correct", "--max-generations", "0"], ["correct", "--max-generations", "-5"],
                                   ["forge", "--count", "0"], ["forge", "--count", "-5"],
                                   ["perturb", "--n-perturb", "-3"], ["perturb", "--n-perturb", "1,-3"],
-                                  ["perturb", "--n-correct", "-1"]])
+                                  ["perturb", "--n-correct", "-1"], ["collect", "--target", "-1"],
+                                  ["collect", "--max-calls", "0"], ["collect", "--max-calls", "-1"]])
 def test_score_reward_options_out_of_range_are_usage_errors(tmp_path, argv):
     """Counts and fractions outside their range exit 2 and name the option, for every command."""
     # the option under test comes last, so it overrides any default the inputs pass
@@ -540,3 +553,85 @@ def test_correct_logs_omega_and_model_in_its_run_config(tmp_path, caplog):
     (config,) = [json.loads(r.getMessage().split(": ", 1)[1]) for r in caplog.records
                  if r.getMessage().startswith("run config: ")]
     assert config["command"] == "correct" and config["omega"] == 0.4 and config["model"] == "test-model"
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command loads only the modules it runs
+
+# the names `import folkit` loaded eagerly before its re-exports became lazy, by defining module
+_REEXPORTS = {
+    "fol": ["Atom", "BinaryOp", "FolRule", "Group", "Literal", "Negation", "atoms", "print_canonical"],
+    "metrics": ["RewardConfig", "fol_bleu", "fol_tokenize", "le_score", "reward"],
+    "parser": ["FolSyntaxError", "parse", "validate"],
+    "perturb": ["EditStep", "PerturbConfig", "apply_step", "sample_perturbation"],
+}
+
+# Run in a fresh interpreter as `-c PROBE package REEXPORTS` or `-c PROBE
+# COMMAND ARGV_LISTS`: import the package or the CLI, run each argv list
+# through the CLI in turn, and print, as the last line, the folkit modules
+# loaded after each step.
+_MODULE_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("folkit."))
+steps = []
+if sys.argv[1] == "package":
+    import folkit
+    steps.append(loaded())
+    reexports = json.loads(sys.argv[2])
+    names = {name: getattr(folkit, name) for names in reexports.values() for name in names}
+    steps.append(loaded())
+    same = all(names[name] is getattr(sys.modules["folkit." + module], name)
+               for module, module_names in reexports.items() for name in module_names)
+    print(json.dumps([steps, sorted(folkit.__all__) == sorted(names), same, sorted(set(names) - set(dir(folkit)))]))
+else:
+    from folkit.cli import main
+    steps.append(loaded())
+    for argv in json.loads(sys.argv[2]):
+        main.main(argv, prog_name="folkit", standalone_mode=False)
+        steps.append(loaded())
+    print(json.dumps(steps))
+"""
+
+_CLI_MODULES = ["cli", "fol", "parser", "rowio"]
+_RULES = "P(A)\n∀x (Q(x) → R(x))\n"
+_COLLECT_RESPONSE = json.dumps("--- NL:\nSnow is white.\n---\n--- FOL:\nWhite(Snow)\n---") + "\n"
+
+# per command: the modules it loads besides those of `import folkit.cli`, and the argv of a real run
+_COMMAND_RUNS = {
+    "validate": ([], lambda t: ["validate", "--in", _write(t / "rules.txt", _RULES)]),
+    "score": (["metrics"], lambda t: ["score", "--pairs", _write(t / "pairs.tsv", "P(A)\tP(A)\n")]),
+    "perturb": (["perturb"], lambda t: ["perturb", "--in", _write(t / "rules.txt", _RULES),
+                                        "--out", str(t / "perturbed.jsonl")]),
+    "forge": (["forge", "perturb"], lambda t: ["forge", "--task", "t3", "--count", "3", "--in", _pairs_file(t),
+                                               "--out", str(t / "t3.jsonl")]),
+    "stats": (["forge", "perturb"], lambda t: ["stats", "--in", _pairs_file(t)]),
+    "bins": (["forge", "perturb"], lambda t: ["bins", "--in", _write(t / "s.jsonl", '{"gpt_le": 1.0}\n'),
+                                              "--edges", "1.0,0.0"]),
+    "collect": (["collect"], lambda t: _collect_argv(t, _COLLECT_RESPONSE)),
+    "correct": (["collect", "forge", "metrics", "perturb", "session"], lambda t: _correct_argv(t, _GOOD_ROW + "\n")),
+}
+
+
+@pytest.mark.parametrize("case", ["package", *_COMMAND_RUNS])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, case):
+    """`import folkit` loads no submodule until a re-export is used; `import
+    folkit.cli` loads rowio, fol and parser; a command's --dry-run and its
+    real run each load those plus what the command runs."""
+    src = str(Path(parser.__file__).resolve().parents[1])  # the folkit under test
+    if case == "package":
+        steps = json.dumps(_REEXPORTS)
+    else:
+        extra, build = _COMMAND_RUNS[case]
+        argv = build(tmp_path)
+        steps = json.dumps([argv + ["--dry-run"], argv])
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, case, steps], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if case == "package":
+        loaded, same_names, same_objects, missing_from_dir = result
+        assert loaded == [[], ["fol", "metrics", "parser", "perturb", "rowio"]]
+        assert same_names and same_objects and missing_from_dir == []
+    else:
+        assert result == [_CLI_MODULES] + [sorted(_CLI_MODULES + extra)] * 2

@@ -42,6 +42,7 @@ def test_load_pairs_jsonl(tmp_path):
         '{"NL": "a", "FOL": "P(A)"}\n{"nl": "b", "fol": "Q(B)"}\n', encoding="utf-8"
     )
     assert load_pairs(path) == [("a", "P(A)"), ("b", "Q(B)")]
+    assert load_pairs is rowio.load_pairs  # one reader, under both names
 
 
 def test_load_pairs_json_array(tmp_path):

@@ -182,7 +182,12 @@ def test_session_config_rejects_counts_below_one(field, value):
 
 @pytest.fixture
 def parsed_texts(monkeypatch):
-    """Every text given to folkit.parser.parse, in call order, from whichever module calls it."""
+    """Every text given to folkit.parser.parse, in call order, from whichever module calls it.
+
+    The modules whose calls are counted are imported first, so each holds the
+    real parse when it is wrapped, whatever was loaded before."""
+    import folkit.session  # noqa: F401 - and collect, forge, metrics and perturb
+
     real = folkit.parser.parse
     texts = []
 
