@@ -1,7 +1,11 @@
 """Single command-line entry point for all pipelines.
 
 Exit codes: 0 success, 2 usage error, 3 input data error, 4 endpoint error.
-Every run logs its resolved configuration so outputs are reproducible.
+
+Every command is a _Command, which holds what all of them share: the
+--dry-run flag, and one INFO line on stderr, ``run config: {...}``, that logs
+the command and every option under its parameter name before the command body
+runs, so every output can be reproduced.
 
 Imports: this module loads only rowio, fol and parser, which every command
 uses. A command imports what else it runs at the top of its own body, before
@@ -49,8 +53,23 @@ class EndpointError(click.ClickException):
     exit_code = EXIT_ENDPOINT
 
 
+class _Command(click.Command):
+    """A command with a --dry-run flag that logs its run config before its body runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(["--dry-run"], is_flag=True, help="Read and check the inputs, then stop."))
+
+    def invoke(self, ctx):
+        config = {"command": ctx.info_name, **ctx.params}
+        log.info("run config: %s", json.dumps(config, default=str, sort_keys=True))
+        return super().invoke(ctx)
+
+
 class _Main(click.Group):
     """Maps data faults to exit code 3 and endpoint faults to 4, for every command."""
+
+    command_class = _Command
 
     def invoke(self, ctx):
         try:
@@ -67,10 +86,6 @@ def _setup_logging(verbose: bool) -> None:
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-
-
-def _log_config(command: str, **options) -> None:
-    log.info("run config: %s", json.dumps({"command": command, **options}, default=str, sort_keys=True))
 
 
 def _fol(path: str, n: int, text: str) -> str:
@@ -138,10 +153,8 @@ def main(ctx, verbose):
 @main.command("validate")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Optional JSONL verdict report.")
-@click.option("--dry-run", is_flag=True)
 def validate_cmd(in_path, out_path, dry_run):
     """Check every rule in a file against the grammar."""
-    _log_config("validate", in_path=in_path, out_path=out_path, dry_run=dry_run)
     rules = [text for _, text in _read_lines(in_path)]
     if dry_run:
         click.echo(f"dry-run: {len(rules)} rules to check")
@@ -150,9 +163,7 @@ def validate_cmd(in_path, out_path, dry_run):
     verdicts = [(text, v.valid, v.reason) for text in rules for v in (validate(text),)]
     n_valid = sum(1 for _, valid, _ in verdicts if valid)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for text, valid, reason in verdicts:
-                rowio.write(fh, {"fol": text, "valid": valid, "reason": reason})
+        rowio.write_rows(out_path, ({"fol": text, "valid": valid, "reason": reason} for text, valid, reason in verdicts))
     click.echo(f"checked {len(rules)} rules: {n_valid} valid, {len(rules) - n_valid} invalid")
 
 
@@ -212,7 +223,6 @@ def _load_pairs_for_scoring(gold, pred, pairs) -> list[tuple[int, str, str]]:
               help="Atom cap for LE, at most metrics.MAX_ATOMS.")
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(1, os.cpu_count()))
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--dry-run", is_flag=True)
 def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
     """Score (gold, pred) pairs: LE, BLEU, mixed reward, and the binding used."""
     from .metrics import MAX_ATOMS, RewardConfig, reward_detail
@@ -221,8 +231,6 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
         raise click.UsageError("provide --pairs or both --gold and --pred")
     if max_atoms > MAX_ATOMS:
         raise click.BadParameter(f"{max_atoms} is not in the range 1<=x<={MAX_ATOMS}.", param_hint="'--max-atoms'")
-    _log_config("score", gold=gold, pred=pred, pairs=pairs, omega=omega,
-                max_atoms=max_atoms, workers=workers, out_path=out_path, dry_run=dry_run)
     rows = _load_pairs_for_scoring(gold, pred, pairs)
     if dry_run:
         click.echo(f"dry-run: {len(rows)} pairs to score")
@@ -241,9 +249,7 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
     else:
         results = [score(w) for w in work]
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for row in results:
-                rowio.write(fh, row)
+        rowio.write_rows(out_path, results)
     if results:
         mean = lambda key: sum(r[key] for r in results) / len(results)  # noqa: E731
         for row in results:
@@ -264,7 +270,6 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
 @click.option("--n-correct", default="0,1,2,3", show_default=True, callback=_number_list(int, minimum=0))
 @click.option("--negative-prob", default=0.2, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--dry-run", is_flag=True)
 def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dry_run):
     """Emit one perturbation record per input rule."""
     from .perturb import PerturbConfig, _sample_with_texts, step_to_dict
@@ -275,7 +280,6 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
         negative_prob=negative_prob,
         seed=seed,
     )
-    _log_config("perturb", in_path=in_path, out_path=out_path, config=config, dry_run=dry_run)
     rules = []
     for n, text in _read_lines(in_path):
         try:
@@ -285,22 +289,22 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
     if dry_run:
         click.echo(f"dry-run: {len(rules)} rules to perturb")
         return
-    out_fh = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
-    try:
+
+    def records():
         for i, rule in enumerate(rules):
-            rng = random.Random(f"{seed}:{i}")
-            perturbed, steps, texts = _sample_with_texts(rule, config, rng)
-            record = {
+            perturbed, steps, texts = _sample_with_texts(rule, config, random.Random(f"{seed}:{i}"))
+            yield {
                 "original": print_canonical(rule),
                 "perturbed": print_canonical(perturbed),
                 "steps_to_fix": [step_to_dict(s, t) for s, t in zip(steps, texts)],
             }
-            rowio.write(out_fh, record)
-    finally:
-        if out_path:
-            out_fh.close()
+
     if out_path:
-        click.echo(f"wrote {len(rules)} perturbation records to {out_path}")
+        n = rowio.write_rows(out_path, records())
+        click.echo(f"wrote {n} perturbation records to {out_path}")
+    else:
+        for record in records():
+            rowio.write(sys.stdout, record)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +319,12 @@ def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dr
 @click.option("--predictions", type=click.Path(exists=True), default=None,
               help="T2: model predictions, one per line, aligned with the input pairs.")
 @click.option("--negative-prob", default=0.2, show_default=True, type=click.FloatRange(0.0, 1.0))
-@click.option("--dry-run", is_flag=True)
 def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, dry_run):
     """Forge training records from (NL, FOL) pairs."""
-    from .forge import forge_records, write_records
+    from .forge import forge_records
     from .perturb import PerturbConfig
 
     config = PerturbConfig(negative_prob=negative_prob, seed=seed)
-    _log_config("forge", task=task, count=count, seed=seed, in_path=in_path,
-                out_path=out_path, predictions=predictions, dry_run=dry_run)
     pairs = rowio.load_pairs(in_path)
     if not pairs:
         raise DataError(f"no pairs in {in_path}")
@@ -338,7 +339,7 @@ def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, 
     if dry_run:
         click.echo(f"dry-run: would forge {count} {task} records from {len(pairs)} pairs")
         return
-    n = write_records(forge_records(pairs, task, count, config, preds), out_path)
+    n = rowio.write_rows(out_path, (r.to_dict() for r in forge_records(pairs, task, count, config, preds)))
     click.echo(f"forged {n} {task} records to {out_path}")
 
 
@@ -350,12 +351,10 @@ def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, 
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--top-terms", default=40, show_default=True)
 @click.option("--top-pairs", default=200, show_default=True)
-@click.option("--dry-run", is_flag=True)
 def stats_cmd(in_path, out_path, top_terms, top_pairs, dry_run):
     """Corpus statistics over an (NL, FOL) pairs file."""
     from .forge import corpus_stats
 
-    _log_config("stats", in_path=in_path, out_path=out_path, dry_run=dry_run)
     pairs = rowio.load_pairs(in_path)
     if dry_run:
         click.echo(f"dry-run: {len(pairs)} pairs to analyze")
@@ -382,12 +381,10 @@ def stats_cmd(in_path, out_path, top_terms, top_pairs, dry_run):
               help="Comma-separated, strictly decreasing from 1.0.")
 @click.option("--group-key", default="gpt_le", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--dry-run", is_flag=True)
 def bins_cmd(in_path, edges, group_key, out_path, dry_run):
     """Per-bin score means grouped by one score column."""
     from .forge import bin_scores
 
-    _log_config("bins", in_path=in_path, edges=edges, group_key=group_key, dry_run=dry_run)
     rows = []
     for n, row in rowio.jsonl(in_path):
         if not isinstance(row.get(group_key), (int, float)):
@@ -421,16 +418,12 @@ def bins_cmd(in_path, edges, group_key, out_path, dry_run):
 @click.option("--align-threshold", default=0.5, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-calls", default=None, type=click.IntRange(min=1))
-@click.option("--dry-run", is_flag=True)
 def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_threshold, seed, max_calls, dry_run):
     """Collect NL-FOL pairs from a generator endpoint or a replay file."""
     from .collect import HttpGenerator, ReplayGenerator, run_collection
 
     if not replay and not endpoint:
         raise click.UsageError("provide --endpoint or --replay")
-    _log_config("collect", target=target, endpoint=endpoint, replay=replay, bootstrap=bootstrap,
-                out_dir=out_dir, align_threshold=align_threshold, seed=seed,
-                max_calls=max_calls, dry_run=dry_run)
     pairs = rowio.load_pairs(bootstrap)
     if dry_run:
         click.echo(f"dry-run: target {target}, bootstrap corpus of {len(pairs)}")
@@ -460,7 +453,6 @@ def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_thres
 @click.option("--max-generations", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--omega", default=0.7, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--dry-run", is_flag=True)
 def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, omega, out_path, dry_run):
     """Run iterative correction sessions and stream experience tuples."""
     from .collect import HttpGenerator, ReplayGenerator
@@ -469,9 +461,6 @@ def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, om
 
     if not replay and not endpoint:
         raise click.UsageError("provide --endpoint or --replay")
-    _log_config("correct", in_path=in_path, gold_path=gold_path, endpoint=endpoint, model=model,
-                replay=replay, max_generations=max_generations, omega=omega, out_path=out_path,
-                dry_run=dry_run)
     if gold_path:
         # a row and its gold share a line number, as in score --gold/--pred
         numbered = []
@@ -487,16 +476,12 @@ def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, om
         click.echo(f"dry-run: {len(rows)} sessions to run")
         return
     for n, row in numbered:
-        gold = row.get("gold")
-        if gold is None:
+        if row.get("gold") is None:
             continue
-        if isinstance(gold, str):
-            try:
-                row["gold"] = parse_fol(gold)  # parsed once, for every step of the session
-                continue
-            except FolSyntaxError:
-                pass
-        raise rowio.InputError(gold_file, n, f"gold rule does not parse: {validate(gold).reason}")
+        verdict = validate(row["gold"])
+        if not verdict:
+            raise rowio.InputError(gold_file, n, f"gold rule does not parse: {verdict.reason}")
+        row["gold"] = verdict.rule  # parsed once, for every step of the session
     generator = ReplayGenerator(replay) if replay else HttpGenerator(endpoint, model)
     config = SessionConfig(max_generations=max_generations, reward=RewardConfig(omega=omega))
     summary = run_batch(rows, generator, out_path, config)

@@ -9,7 +9,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import rowio
@@ -110,7 +109,6 @@ def forge_records(
     count: int,
     config: PerturbConfig = PerturbConfig(),
     predictions: list[str] | None = None,
-    source: str = "synthetic",
 ) -> Iterator[CorrectionRecord]:
     """Stream `count` records sampled with replacement from the pairs.
 
@@ -131,11 +129,14 @@ def forge_records(
         parsed.append((i, nl, print_canonical(rule), rule))
     if not parsed:
         raise GoldUnparseableRow("no parseable gold rules in input")
-    if task == "t2" and predictions is not None and len(predictions) != len(pairs):
-        raise MissingPrediction(
-            f"{len(predictions)} predictions for {len(pairs)} pairs"
-        )
-    return _forge(parsed, task, count, config, predictions, source)
+    if task == "t2" and predictions is not None:
+        if len(predictions) != len(pairs):
+            raise MissingPrediction(f"{len(predictions)} predictions for {len(pairs)} pairs")
+        # only a row whose gold parses is ever drawn
+        for row, *_ in parsed:
+            if not predictions[row]:
+                raise MissingPrediction(f"empty prediction for row {row}")
+    return _forge(parsed, task, count, config, predictions)
 
 
 def _forge(
@@ -144,12 +145,11 @@ def _forge(
     count: int,
     config: PerturbConfig,
     predictions: list[str] | None,
-    source: str,
 ) -> Iterator[CorrectionRecord]:
     for i in range(count):
         rng = random.Random(f"{config.seed}:{i}")
         row, nl, gold_text, gold_rule = parsed[rng.randrange(len(parsed))]
-        meta = {"seed": config.seed, "record": i, "source": source, "task": task}
+        meta = {"seed": config.seed, "record": i, "source": "synthetic", "task": task}
 
         if task == "t1":
             yield CorrectionRecord(nl, gold_text, "", [], [], meta)
@@ -158,8 +158,6 @@ def _forge(
         if task == "t2":
             if predictions is not None:
                 pred = predictions[row]
-                if not pred:
-                    raise MissingPrediction(f"empty prediction for row {row}")
             else:
                 perturbed, _ = sample_perturbation(gold_rule, config, rng)
                 pred = print_canonical(perturbed)
@@ -178,15 +176,6 @@ def _forge(
             all_dicts[len(prev):],
             meta,
         )
-
-
-def write_records(records: Iterable[CorrectionRecord], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            rowio.write(fh, rec.to_dict())
-            n += 1
-    return n
 
 
 # ---------------------------------------------------------------------------

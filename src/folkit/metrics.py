@@ -365,12 +365,15 @@ def fol_tokenize(text: str) -> list[str]:
     return tokens(parse(text))
 
 
-def _bleu_from_tokens(ref: list[str], hyp: list[str], max_n: int = 4) -> float:
+_BLEU_MAX_N = 4  # the longest n-gram BLEU counts
+
+
+def _bleu_from_tokens(ref: list[str], hyp: list[str]) -> float:
     if not hyp:
         return 0.0
     log_sum = 0.0
     used = 0
-    for n in range(1, min(max_n, len(hyp)) + 1):
+    for n in range(1, min(_BLEU_MAX_N, len(hyp)) + 1):
         hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
         ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
         clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())

@@ -507,13 +507,16 @@ def _stable_after(view: _TreeView, new_rule: FolRule, step: EditStep) -> bool:
     return True
 
 
-def _sample_step(rule: FolRule, rng: random.Random, attempts_per_kind: int = 6) -> tuple[EditStep, FolRule]:
+_ATTEMPTS_PER_KIND = 6  # proposals of one kind tried before the kind is dropped
+
+
+def _sample_step(rule: FolRule, rng: random.Random) -> tuple[EditStep, FolRule]:
     """One stable random edit of a stable rule, and the rule it makes."""
     view = _TreeView(rule)
     kinds = list(ALL_KINDS)
     while kinds:
         kind = rng.choice(kinds)
-        for _ in range(attempts_per_kind):
+        for _ in range(_ATTEMPTS_PER_KIND):
             step = _propose(rule, view, kind, rng)
             if step is None:
                 break

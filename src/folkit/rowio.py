@@ -1,4 +1,5 @@
-"""Input and output rows: every data file folkit reads or writes goes through here.
+"""Input and output rows: every data file folkit reads goes through here, and
+write_rows writes every row file but the ones collect appends to.
 
 Files are UTF-8 and are read line by line with 1-based line numbers. JSON is
 decoded per line, and a row must be an object whose named fields hold text.
@@ -13,7 +14,7 @@ exit codes without importing the modules that raise them.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 
 class DataFault(Exception):
@@ -74,32 +75,41 @@ def row(path, line: int, text: str, fields: tuple[str, ...] = (), fold_case: boo
     return check(path, line, loads(path, line, text), fields, fold_case)
 
 
-def jsonl(path, fields: tuple[str, ...] = (), fold_case: bool = False) -> Iterator[tuple[int, dict]]:
+def jsonl(path, fields: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
     """(line number, row) for each non-blank line of a JSONL file."""
     for n, text in lines(path):
         if text.strip():
-            yield n, row(path, n, text, fields, fold_case)
+            yield n, row(path, n, text, fields)
 
 
-def jsonl_or_array(path, fields: tuple[str, ...], fold_case: bool = False) -> Iterator[dict]:
-    """The rows of a JSONL file, or the elements of a file holding one JSON array."""
+def load_pairs(path) -> list[tuple[str, str]]:
+    """(NL, FOL) pairs from a JSONL file or a file holding one JSON array;
+    keys nl/fol in any case."""
+    fields = ("nl", "fol")
+    pairs = []
     numbered = lines(path)
     for n, text in numbered:
         if not text.strip():
             continue
-        if text.lstrip().startswith("["):
+        if text.lstrip().startswith("["):  # the rest of the file is one array
             whole = "\n".join([text] + [rest for _, rest in numbered])
-            for i, value in enumerate(loads(path, n, whole)):
-                yield check(path, f"[{i}]", value, fields, fold_case)
-            return
-        yield row(path, n, text, fields, fold_case)
-
-
-def load_pairs(path) -> list[tuple[str, str]]:
-    """(NL, FOL) pairs from a JSONL file or a JSON array; keys nl/fol in any case."""
-    return [(row["nl"], row["fol"]) for row in jsonl_or_array(path, ("nl", "fol"), fold_case=True)]
+            values = (check(path, f"[{i}]", value, fields, True) for i, value in enumerate(loads(path, n, whole)))
+        else:
+            values = (row(path, n, text, fields, True),)
+        pairs.extend((value["nl"], value["fol"]) for value in values)
+    return pairs
 
 
 def write(fh: IO[str], value: dict) -> None:
     """Append one row to a JSONL stream."""
     fh.write(json.dumps(value, ensure_ascii=False) + "\n")
+
+
+def write_rows(path, rows: Iterable[dict]) -> int:
+    """Write the rows to a new JSONL file at ``path``; returns how many."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for value in rows:
+            write(fh, value)
+            n += 1
+    return n

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import rowio
 from .collect import Generator
@@ -214,18 +214,15 @@ def run_batch(
 
     A gold may be text or an already parsed rule.
     """
-    sessions = 0
-    failed = 0
-    experiences = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
+    summary = {"sessions": 0, "failed": 0, "experiences": 0}
+
+    def experiences() -> Iterator[dict]:
         for row in rows:
-            sessions += 1
-            final, tuples, state = run_session(
-                row["nl"], row["pred"], generator, row.get("gold"), config
-            )
-            if state.status == "failed":
-                failed += 1
+            summary["sessions"] += 1
+            _, tuples, state = run_session(row["nl"], row["pred"], generator, row.get("gold"), config)
+            summary["failed"] += state.status == "failed"
             for t in tuples:
-                rowio.write(fh, t.to_dict())
-                experiences += 1
-    return {"sessions": sessions, "failed": failed, "experiences": experiences}
+                yield t.to_dict()
+
+    summary["experiences"] = rowio.write_rows(out_path, experiences())
+    return summary

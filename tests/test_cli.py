@@ -545,16 +545,6 @@ def test_cli_import_leaves_multiprocessing_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_correct_logs_omega_and_model_in_its_run_config(tmp_path, caplog):
-    argv = _correct_argv(tmp_path, _GOOD_ROW + "\n") + ["--omega", "0.4", "--model", "test-model", "--dry-run"]
-    with caplog.at_level(logging.INFO, logger="folkit"):
-        result = CliRunner().invoke(main, argv)
-    assert result.exit_code == 0, result.output
-    (config,) = [json.loads(r.getMessage().split(": ", 1)[1]) for r in caplog.records
-                 if r.getMessage().startswith("run config: ")]
-    assert config["command"] == "correct" and config["omega"] == 0.4 and config["model"] == "test-model"
-
-
 # ---------------------------------------------------------------------------
 # start-up: each command loads only the modules it runs
 
@@ -611,6 +601,18 @@ _COMMAND_RUNS = {
     "collect": (["collect"], lambda t: _collect_argv(t, _COLLECT_RESPONSE)),
     "correct": (["collect", "forge", "metrics", "perturb", "session"], lambda t: _correct_argv(t, _GOOD_ROW + "\n")),
 }
+
+
+@pytest.mark.parametrize("command", _COMMAND_RUNS)
+def test_every_command_logs_all_its_options_in_its_run_config(tmp_path, caplog, command):
+    argv = _COMMAND_RUNS[command][1](tmp_path) + ["--dry-run"]
+    with caplog.at_level(logging.INFO, logger="folkit"):
+        result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    (config,) = [json.loads(r.getMessage().split(": ", 1)[1]) for r in caplog.records
+                 if r.getMessage().startswith("run config: ")]
+    assert set(config) == {"command"} | {p.name for p in main.commands[command].params}
+    assert config["command"] == command and config["dry_run"] is True
 
 
 @pytest.mark.parametrize("case", ["package", *_COMMAND_RUNS])

@@ -16,7 +16,6 @@ from folkit.forge import (
     load_pairs,
     nl_words,
     parse_correction_output,
-    write_records,
 )
 from folkit.perturb import NO_CHANGES, PerturbConfig
 
@@ -112,7 +111,7 @@ def test_unparseable_gold_rows_are_skipped():
 def test_write_read_roundtrip(tmp_path):
     path = tmp_path / "records.jsonl"
     recs = _forge("t3", 10)
-    assert write_records(recs, path) == 10
+    assert rowio.write_rows(path, (r.to_dict() for r in recs)) == 10
     loaded = [CorrectionRecord.from_dict(row) for _, row in rowio.jsonl(path, ("nl", "fol_gold"))]
     assert [r.to_dict() for r in loaded] == [r.to_dict() for r in recs]
 
@@ -230,3 +229,5 @@ def test_inputs_are_checked_before_the_first_record():
         forge_records([("bad", "P(x) =")], "t3", 1)
     with pytest.raises(MissingPrediction):
         forge_records(PAIRS, "t2", 1, predictions=["P(A)"])
+    with pytest.raises(MissingPrediction, match="empty prediction for row 1"):
+        forge_records([("a", "P(A)"), ("b", "Q(B)")], "t2", 5, predictions=["P(A)", ""])
