@@ -10,7 +10,10 @@ runs, so every output can be reproduced.
 Imports: this module loads only rowio, fol and parser, which every command
 uses. A command imports what else it runs at the top of its own body, before
 it reads any input, so a --dry-run loads the same modules as a real run. It
-never imports in a per-item path such as _score_one. The errors that exit 3
+never imports in a per-item path such as _score_one. Modules draw the same
+line: forge loads the sampler (perturb) only when it forges or replays, and
+the generators live in endpoint, so stats and bins load forge alone and
+correct loads neither collect nor perturb. The errors that exit 3
 and 4 derive from rowio.DataFault and rowio.EndpointFault, so mapping them
 imports nothing either.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -324,12 +328,14 @@ def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, 
     from .forge import forge_records
     from .perturb import PerturbConfig
 
+    if predictions and task != "t2":
+        raise click.BadParameter(f"only --task t2 reads predictions, not {task}", param_hint="'--predictions'")
     config = PerturbConfig(negative_prob=negative_prob, seed=seed)
     pairs = rowio.load_pairs(in_path)
     if not pairs:
         raise DataError(f"no pairs in {in_path}")
     preds = None
-    if predictions and task == "t2":
+    if predictions:
         # blank lines are kept: line i is the prediction for pair i
         preds = [text.strip() for _, text in rowio.lines(predictions)]
         _check_counts(predictions, preds, in_path, pairs)
@@ -349,8 +355,8 @@ def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, 
 @main.command("stats")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--top-terms", default=40, show_default=True)
-@click.option("--top-pairs", default=200, show_default=True)
+@click.option("--top-terms", default=40, show_default=True, type=click.IntRange(min=0))
+@click.option("--top-pairs", default=200, show_default=True, type=click.IntRange(min=0))
 def stats_cmd(in_path, out_path, top_terms, top_pairs, dry_run):
     """Corpus statistics over an (NL, FOL) pairs file."""
     from .forge import corpus_stats
@@ -387,7 +393,9 @@ def bins_cmd(in_path, edges, group_key, out_path, dry_run):
 
     rows = []
     for n, row in rowio.jsonl(in_path):
-        if not isinstance(row.get(group_key), (int, float)):
+        value = row.get(group_key)
+        # JSON true is no number, and NaN or Infinity would fall out of every bin
+        if not (type(value) is int or (type(value) is float and math.isfinite(value))):
             raise rowio.InputError(in_path, n, f"group key {group_key!r} is not a number")
         rows.append(row)
     if dry_run:
@@ -455,7 +463,7 @@ def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_thres
 @click.option("--out", "out_path", required=True, type=click.Path())
 def correct_cmd(in_path, gold_path, endpoint, model, replay, max_generations, omega, out_path, dry_run):
     """Run iterative correction sessions and stream experience tuples."""
-    from .collect import HttpGenerator, ReplayGenerator
+    from .endpoint import HttpGenerator, ReplayGenerator
     from .metrics import RewardConfig
     from .session import SessionConfig, run_batch
 

@@ -1,37 +1,27 @@
 """NL-FOL pair collection pipeline: n-gram frequency gating, prompt assembly,
 generator invocation, response parsing, and acceptance filtering.
 
-The generator behind the pipeline is abstracted to a text-in/text-out
-interface with two implementations: a chat-completions-style HTTP client and
-a deterministic replay reader, so collection runs are fully testable offline.
+The generator behind the pipeline is any text-in/text-out ``Generator``
+from ``endpoint``; the generator classes and their errors are re-exported
+here, so ``collect.ReplayGenerator`` is ``endpoint.ReplayGenerator``.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import re
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from . import rowio
+from .endpoint import EndpointUnavailable, Generator, HttpGenerator, ReplayExhausted, ReplayGenerator  # noqa: F401
 from .fol import FolRule, camel_words, literal_occurrences
 from .parser import validate
 from .parser import Verdict as SyntaxVerdict
 
 log = logging.getLogger(__name__)
-
-
-class EndpointUnavailable(rowio.EndpointFault):
-    pass
-
-
-class ReplayExhausted(EndpointUnavailable):
-    """A replayed or scripted generator has no responses left."""
 
 
 class InsufficientCorpus(rowio.DataFault):
@@ -349,132 +339,6 @@ def accept_pair(
     if score < align_threshold:
         return Verdict(False, f"alignment: {score:.3f} < {align_threshold}")
     return Verdict(True)
-
-
-# ---------------------------------------------------------------------------
-# generators
-
-
-class Generator(Protocol):
-    def generate(self, system: str, user: str) -> str: ...
-
-
-class ReplayGenerator:
-    """Deterministic generator reading canned responses from a JSONL file.
-
-    Each line is either a JSON string or an object with a "response" key.
-    Raises ReplayExhausted when the replay is exhausted.
-    """
-
-    def __init__(self, path: str | Path):
-        self.responses: list[str] = []
-        for n, text in rowio.lines(path):
-            if not text.strip():
-                continue
-            value = rowio.loads(path, n, text)
-            if not isinstance(value, str):
-                value = rowio.check(path, n, value, ("response",))["response"]
-            self.responses.append(value)
-        self.index = 0
-
-    def generate(self, system: str, user: str) -> str:
-        if self.index >= len(self.responses):
-            raise ReplayExhausted("replay file exhausted")
-        resp = self.responses[self.index]
-        self.index += 1
-        return resp
-
-
-class ScriptedGenerator:
-    """In-memory scripted generator for tests and dry runs."""
-
-    def __init__(self, responses: list[str], cycle_last: bool = False):
-        self.responses = list(responses)
-        self.cycle_last = cycle_last
-        self.index = 0
-        self.calls: list[tuple[str, str]] = []
-
-    def generate(self, system: str, user: str) -> str:
-        self.calls.append((system, user))
-        if self.index >= len(self.responses):
-            if self.cycle_last and self.responses:
-                return self.responses[-1]
-            raise ReplayExhausted("script exhausted")
-        resp = self.responses[self.index]
-        self.index += 1
-        return resp
-
-
-class HttpGenerator:
-    """Chat-completions-style HTTP client; the API key comes from the
-    environment, never from flags or files.
-
-    Timeouts, connection errors, 429 and 5xx are retried (RFC 9110 §15);
-    any other error status or a malformed body raises EndpointUnavailable
-    at once.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str = "gpt-4",
-        api_key_env: str = "FOLKIT_API_KEY",
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 2.0,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.api_key = os.environ.get(api_key_env, "")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-
-    def generate(self, system: str, user: str) -> str:
-        # imported here: urllib.request adds about 30 ms to every start-up,
-        # and replay runs never use it
-        import http.client
-        import urllib.error
-        import urllib.request
-
-        url = f"{self.base_url}/chat/completions"
-        payload = {
-            "model": self.model,
-            "messages": [
-                {"role": "system", "content": system},
-                {"role": "user", "content": user},
-            ],
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    body = resp.read()
-                break
-            except urllib.error.HTTPError as exc:
-                exc.close()
-                if exc.code != 429 and exc.code < 500:
-                    raise EndpointUnavailable(f"{url}: HTTP {exc.code}") from exc
-                last_error = exc
-            except OSError as exc:  # timeouts and connection errors, URLError included
-                last_error = exc
-            except http.client.HTTPException as exc:
-                raise EndpointUnavailable(f"{url}: bad HTTP response: {exc!r}") from exc
-            if attempt < self.max_retries - 1:
-                time.sleep(self.backoff * (attempt + 1))
-        else:
-            raise EndpointUnavailable(f"{url}: {last_error}")
-        try:
-            content = json.loads(body)["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError):
-            content = None
-        if not isinstance(content, str):
-            raise EndpointUnavailable(f"{url}: malformed response body")
-        return content
 
 
 # ---------------------------------------------------------------------------

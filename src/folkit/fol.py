@@ -9,7 +9,7 @@ immutable, so rules can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterator, Union
 
 FORALL = "∀"
@@ -21,61 +21,124 @@ IMPLIES = "→"
 IFF = "↔"
 XOR = "⊕"
 
+NO_CHANGES = "No changes needed"  # the correction text that leaves a rule as it is
+
 QUANTIFIERS = (FORALL, EXISTS)
 BINARY_OPS = (XOR, OR, AND, IMPLIES, IFF)
 
 
-@dataclass(frozen=True)
-class Literal:
+class FrozenSlots:
+    """A frozen value with a frozen dataclass's ``==``, ``hash``, ``repr``,
+    pickling and copies. Its fields are its ``__slots__`` but ``__weakref__``,
+    and each subclass ``__init__`` sets them through the slot descriptors'
+    ``__set__`` (``slot_setters``), which is cheaper than ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if name != "__weakref__")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+def slot_setters(cls: type) -> tuple:
+    """The slot descriptors' ``__set__`` of each field of ``cls``, in order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
+
+
+class Literal(FrozenSlots):
     """A (possibly negated) predicate applied to one or more terms."""
 
-    predicate: str
-    args: tuple[str, ...]
-    negated: bool = False
+    __slots__ = ("predicate", "args", "negated")
+
+    def __init__(self, predicate: str, args: tuple[str, ...], negated: bool = False):
+        _set_predicate(self, predicate)
+        _set_args(self, args)
+        _set_negated(self, negated)
 
 
-@dataclass(frozen=True)
-class Negation:
+class Negation(FrozenSlots):
     """Negation of a parenthesized subformula: ¬( child )."""
 
-    child: "FormulaNode"
+    __slots__ = ("child",)
+
+    def __init__(self, child: FormulaNode):
+        _set_negation_child(self, child)
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(FrozenSlots):
     """Explicit parentheses from the source text: ( child )."""
 
-    child: "FormulaNode"
+    __slots__ = ("child",)
+
+    def __init__(self, child: FormulaNode):
+        _set_group_child(self, child)
 
 
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str
-    left: "FormulaNode"
-    right: "FormulaNode"
+class BinaryOp(FrozenSlots):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: FormulaNode, right: FormulaNode):
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 FormulaNode = Union[Literal, Negation, Group, BinaryOp]
 
 
-@dataclass(frozen=True)
-class FolRule:
-    """One FOL formula: quantifier prefix + body tree."""
+class FolRule(FrozenSlots):
+    """One FOL formula: a prefix of (quantifier, variable) pairs + body tree."""
 
-    prefix: tuple[tuple[str, str], ...]  # (quantifier, variable) pairs
-    body: FormulaNode
+    __slots__ = ("prefix", "body", "__weakref__")
+
+    def __init__(self, prefix: tuple[tuple[str, str], ...], body: FormulaNode):
+        _set_prefix(self, prefix)
+        _set_body(self, body)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(FrozenSlots):
     """Positive form of a literal occurrence; the unit of truth-table binding."""
 
-    predicate: str
-    args: tuple[str, ...]
+    __slots__ = ("predicate", "args")
+
+    def __init__(self, predicate: str, args: tuple[str, ...]):
+        _set_atom_predicate(self, predicate)
+        _set_atom_args(self, args)
 
     @property
     def canonical_text(self) -> str:
         return f"{self.predicate}({', '.join(self.args)})"
+
+
+_set_predicate, _set_args, _set_negated = slot_setters(Literal)
+(_set_negation_child,) = slot_setters(Negation)
+(_set_group_child,) = slot_setters(Group)
+_set_op, _set_left, _set_right = slot_setters(BinaryOp)
+_set_prefix, _set_body = slot_setters(FolRule)
+_set_atom_predicate, _set_atom_args = slot_setters(Atom)
 
 
 def is_variable(name: str) -> bool:

@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import rowio
 from .fol import (
@@ -18,6 +18,7 @@ from .fol import (
     FORALL,
     IFF,
     IMPLIES,
+    NO_CHANGES,
     NOT,
     OR,
     XOR,
@@ -31,17 +32,10 @@ from .fol import (
     print_canonical,
 )
 from .parser import FolSyntaxError, parse
-from .perturb import (
-    NO_CHANGES,
-    PerturbConfig,
-    _sample_with_texts,
-    apply_step,
-    sample_perturbation,
-    split_iteration,
-    step_from_dict,
-    step_to_dict,
-)
 from .rowio import load_pairs  # noqa: F401 - forge.load_pairs is the same function
+
+if TYPE_CHECKING:
+    from .perturb import PerturbConfig
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +87,8 @@ class CorrectionRecord:
 
     def replay(self) -> str:
         """Apply prev then target steps to fol_input; returns the canonical result."""
+        from .perturb import apply_step, step_from_dict
+
         rule = parse(self.fol_input)
         for d in self.prev_steps + self.target_steps:
             rule = apply_step(rule, step_from_dict(d))
@@ -107,7 +103,7 @@ def forge_records(
     pairs: list[tuple[str, str]],
     task: str,
     count: int,
-    config: PerturbConfig = PerturbConfig(),
+    config: PerturbConfig | None = None,
     predictions: list[str] | None = None,
 ) -> Iterator[CorrectionRecord]:
     """Stream `count` records sampled with replacement from the pairs.
@@ -115,8 +111,14 @@ def forge_records(
     T1 carries NL and gold only; T2 carries a prediction as input (simulated
     by perturbation when no predictions are supplied); T3 carries a perturbed
     rule with split previous/target correction steps. The inputs are checked
-    when this is called, before the first record is drawn.
+    when this is called, before the first record is drawn. ``config=None``
+    means ``PerturbConfig()``.
     """
+    # imported here and in _forge and replay: stats and bins load this module, not the sampler
+    from .perturb import PerturbConfig
+
+    if config is None:
+        config = PerturbConfig()
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     parsed: list[tuple[int, str, str, FolRule]] = []  # (row, nl, gold text, gold rule)
@@ -146,6 +148,8 @@ def _forge(
     config: PerturbConfig,
     predictions: list[str] | None,
 ) -> Iterator[CorrectionRecord]:
+    from . import perturb
+
     for i in range(count):
         rng = random.Random(f"{config.seed}:{i}")
         row, nl, gold_text, gold_rule = parsed[rng.randrange(len(parsed))]
@@ -159,14 +163,14 @@ def _forge(
             if predictions is not None:
                 pred = predictions[row]
             else:
-                perturbed, _ = sample_perturbation(gold_rule, config, rng)
+                perturbed, _ = perturb.sample_perturbation(gold_rule, config, rng)
                 pred = print_canonical(perturbed)
             yield CorrectionRecord(nl, gold_text, pred, [], [], meta)
             continue
 
-        perturbed, fix_steps, texts = _sample_with_texts(gold_rule, config, rng)
-        prev, target = split_iteration(fix_steps, config, rng)
-        all_dicts = [step_to_dict(s, t) for s, t in zip(fix_steps, texts)]
+        perturbed, fix_steps, texts = perturb._sample_with_texts(gold_rule, config, rng)
+        prev, target = perturb.split_iteration(fix_steps, config, rng)
+        all_dicts = [perturb.step_to_dict(s, t) for s, t in zip(fix_steps, texts)]
         meta.update({"n_perturb": len(fix_steps), "n_correct": len(target)})
         yield CorrectionRecord(
             nl,

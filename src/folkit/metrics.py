@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -42,11 +42,13 @@ from .fol import (
     Atom,
     FolRule,
     FormulaNode,
+    FrozenSlots,
     Group,
     Literal,
     Negation,
     atoms,
     is_variable,
+    slot_setters,
     tokens,
 )
 from .parser import FolSyntaxError, parse
@@ -80,56 +82,19 @@ class RewardConfig:
             raise ValueError("search_cap must be >= 1")
 
 
-class Binding:
-    """One-to-one pairing of atom indices; None marks a dummy partner.
-
-    A frozen value with a dataclass's ``==``, ``hash``, ``repr`` and copies.
-    The search builds one per binding, so ``__init__`` sets the slots through
-    their descriptors instead of ``object.__setattr__``.
-    """
+class Binding(FrozenSlots):
+    """One-to-one pairing of atom indices; None marks a dummy partner. ``cost``
+    is the summed edit distance of the real pairings, for tie-breaks."""
 
     __slots__ = ("pairs", "arity", "cost")
-    __match_args__ = __slots__
-
-    pairs: tuple[tuple[int | None, int | None], ...]
-    arity: int
-    cost: int  # summed edit distance of the real pairings, for tie-breaks
 
     def __init__(self, pairs: tuple[tuple[int | None, int | None], ...], arity: int, cost: int = 0):
         _set_pairs(self, pairs)
         _set_arity(self, arity)
         _set_cost(self, cost)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, (self.pairs, self.arity, self.cost)
-
-    def __repr__(self) -> str:
-        return f"Binding(pairs={self.pairs!r}, arity={self.arity!r}, cost={self.cost!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pairs, self.arity, self.cost) == (other.pairs, other.arity, other.cost)
-
-    def __hash__(self) -> int:
-        return hash((self.pairs, self.arity, self.cost))
-
-    def describe(self, p: list[Atom], q: list[Atom]) -> list[str]:
-        out = []
-        for pi, qi in self.pairs:
-            left = p[pi].canonical_text if pi is not None else "DUMMY"
-            right = q[qi].canonical_text if qi is not None else "DUMMY"
-            out.append(f"{left} ↔ {right}")
-        return out
-
-
-_set_pairs, _set_arity, _set_cost = (Binding.__dict__[name].__set__ for name in Binding.__slots__)
+_set_pairs, _set_arity, _set_cost = slot_setters(Binding)
 
 
 @dataclass(frozen=True)

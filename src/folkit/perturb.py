@@ -18,6 +18,7 @@ from .fol import (
     BINARY_OPS,
     EXISTS,
     FORALL,
+    NO_CHANGES,
     QUANTIFIERS,
     BinaryOp,
     FolRule,
@@ -51,8 +52,6 @@ __all__ = [
     "step_from_dict",
     "NO_CHANGES",
 ]
-
-NO_CHANGES = "No changes needed"
 
 CHANGE_KINDS = ("change_predicate", "change_term", "change_operator")
 INSERT_KINDS = ("insert_term", "insert_negation", "insert_formula")

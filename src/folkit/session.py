@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import rowio
-from .collect import Generator
+from .endpoint import Generator
 from .fol import FolRule
 from .forge import (
     CORR_MARKER,

@@ -14,7 +14,6 @@ from folkit.collect import (
     BREAKDOWN_CLAUSE,
     NgramGate,
     ReplayGenerator,
-    ScriptedGenerator,
     accept_pair,
     assemble_prompt,
     run_collection,
@@ -37,6 +36,7 @@ from folkit.perturb import (
 )
 from folkit.session import run_session
 
+from helpers import ScriptedGenerator, describe
 from le_oracle import exhaustive_le
 
 COUNTRY_GOLD = "∀x (Country(x) ∧ InEU(x) → EUCountry(x))"
@@ -59,7 +59,7 @@ def test_criterion_01_country_example_le(criterion):
     start = time.perf_counter()
     res = le_score(COUNTRY_GOLD, COUNTRY_PRED)
     elapsed_ms = (time.perf_counter() - start) * 1000
-    described = res.binding.describe(atoms(parse(COUNTRY_GOLD)), atoms(parse(COUNTRY_PRED)))
+    described = describe(res.binding, atoms(parse(COUNTRY_GOLD)), atoms(parse(COUNTRY_PRED)))
     expected_binding = [
         "Country(x) ↔ DUMMY",
         "InEU(x) ↔ LocatedInEU(y)",

@@ -330,8 +330,9 @@ def _count_parses(monkeypatch) -> list:
     are counted are imported here first: each then holds the real parse when
     it is wrapped, whatever ran before, and none is first loaded holding the
     wrapper."""
-    import folkit.collect  # noqa: F401
-    import folkit.session  # noqa: F401 - and forge, metrics and perturb
+    import folkit.collect  # noqa: F401 - and endpoint
+    import folkit.perturb  # noqa: F401
+    import folkit.session  # noqa: F401 - and forge and metrics
 
     real_parse = parser.parse
     parsed = []
@@ -446,6 +447,10 @@ MALFORMED = [
         t / "p.json", '[{"nl": "a", "fol": "P(A)"},\n 5]')], ["p.json:[1]:"]),
     ("bins-group-key-not-a-number", lambda t: ["bins", "--in", _write(t / "s.jsonl", '{"gpt_le": "high"}\n'),
                                                "--edges", "1.0,0.0"], ["s.jsonl:1:"]),
+    *((f"bins-group-key-{value.lower()}", lambda t, value=value: [
+        "bins", "--in", _write(t / "s.jsonl", f'{{"gpt_le": 0.9, "x": 2}}\n{{"gpt_le": {value}, "x": 4}}\n'),
+        "--edges", "1.0,0.5,0.0"], ["s.jsonl:2: group key 'gpt_le' is not a number"])
+      for value in ("true", "NaN", "Infinity")),
 ]
 
 
@@ -495,6 +500,7 @@ _RANGE_INPUTS = {
     "forge": lambda t: ["--task", "t3", "--count", "1", "--in", _pairs_file(t), "--out", str(t / "o.jsonl")],
     "collect": lambda t: _collect_argv(t, '"ok"\n')[1:],
     "correct": lambda t: _correct_argv(t, _GOOD_ROW + "\n")[1:],
+    "stats": lambda t: ["--in", _pairs_file(t)],
 }
 
 
@@ -507,13 +513,23 @@ _RANGE_INPUTS = {
                                   ["forge", "--count", "0"], ["forge", "--count", "-5"],
                                   ["perturb", "--n-perturb", "-3"], ["perturb", "--n-perturb", "1,-3"],
                                   ["perturb", "--n-correct", "-1"], ["collect", "--target", "-1"],
-                                  ["collect", "--max-calls", "0"], ["collect", "--max-calls", "-1"]])
+                                  ["collect", "--max-calls", "0"], ["collect", "--max-calls", "-1"],
+                                  ["stats", "--top-terms", "-1"], ["stats", "--top-pairs", "-5"]])
 def test_score_reward_options_out_of_range_are_usage_errors(tmp_path, argv):
     """Counts and fractions outside their range exit 2 and name the option, for every command."""
     # the option under test comes last, so it overrides any default the inputs pass
     result = CliRunner().invoke(main, argv[:1] + _RANGE_INPUTS[argv[0]](tmp_path) + argv[1:])
     assert result.exit_code == 2, result.output
     assert argv[1] in result.output
+
+
+@pytest.mark.parametrize("task", ["t1", "t3"])
+def test_forge_predictions_are_a_usage_error_unless_t2(tmp_path, task):
+    argv = _forge_t2_argv(tmp_path, "P(A)\n")  # fewer predictions than pairs, which t2 rejects
+    argv[argv.index("--task") + 1] = task
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "--predictions" in result.output and "only --task t2" in result.output
 
 
 def test_correct_omega_out_of_range_is_usage_error(tmp_path):
@@ -595,11 +611,11 @@ _COMMAND_RUNS = {
                                         "--out", str(t / "perturbed.jsonl")]),
     "forge": (["forge", "perturb"], lambda t: ["forge", "--task", "t3", "--count", "3", "--in", _pairs_file(t),
                                                "--out", str(t / "t3.jsonl")]),
-    "stats": (["forge", "perturb"], lambda t: ["stats", "--in", _pairs_file(t)]),
-    "bins": (["forge", "perturb"], lambda t: ["bins", "--in", _write(t / "s.jsonl", '{"gpt_le": 1.0}\n'),
+    "stats": (["forge"], lambda t: ["stats", "--in", _pairs_file(t)]),
+    "bins": (["forge"], lambda t: ["bins", "--in", _write(t / "s.jsonl", '{"gpt_le": 1.0}\n'),
                                               "--edges", "1.0,0.0"]),
-    "collect": (["collect"], lambda t: _collect_argv(t, _COLLECT_RESPONSE)),
-    "correct": (["collect", "forge", "metrics", "perturb", "session"], lambda t: _correct_argv(t, _GOOD_ROW + "\n")),
+    "collect": (["collect", "endpoint"], lambda t: _collect_argv(t, _COLLECT_RESPONSE)),
+    "correct": (["endpoint", "forge", "metrics", "session"], lambda t: _correct_argv(t, _GOOD_ROW + "\n")),
 }
 
 

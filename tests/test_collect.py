@@ -24,7 +24,6 @@ from folkit.collect import (
     InsufficientCorpus,
     NgramGate,
     ReplayGenerator,
-    ScriptedGenerator,
     accept_pair,
     alignment_score,
     assemble_prompt,
@@ -34,6 +33,8 @@ from folkit.collect import (
     parse_response,
     run_collection,
 )
+
+from helpers import ScriptedGenerator
 
 CORPUS = [
     ("All birds can fly.", "∀x (Bird(x) → Flies(x))"),
@@ -466,7 +467,8 @@ def test_interrupted_run_resumes_to_the_uninterrupted_state(tmp_path):
 # the child runs a collection whose generator kills the process at call k
 _KILLED_RUN = """
 import json, os, random, sys
-from folkit.collect import ScriptedGenerator, run_collection
+from folkit.collect import run_collection
+from helpers import ScriptedGenerator
 
 out, k, responses, corpus = json.loads(sys.argv[1])
 
@@ -481,13 +483,14 @@ run_collection(KilledAt(responses), 1000, out, [tuple(p) for p in corpus], rando
 
 
 def test_killed_run_keeps_every_judged_row(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])  # folkit and the helpers
     for k in range(1, len(_RESUME_RESPONSES) + 1):
         judged = tmp_path / f"judged-{k}"
         run_collection(ScriptedGenerator(_RESUME_RESPONSES[:k]), 1000, judged, CORPUS, random.Random(0))
         killed = tmp_path / f"killed-{k}"
         arg = json.dumps([str(killed), k, _RESUME_RESPONSES, CORPUS])
         proc = subprocess.run([sys.executable, "-c", _KILLED_RUN, arg], capture_output=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 17, proc.stderr.decode()
         assert _resume_outputs(killed) == _resume_outputs(judged), f"killed at call {k}"

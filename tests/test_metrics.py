@@ -38,7 +38,9 @@ from folkit.metrics import (
 )
 from folkit.parser import MAX_OPERATORS, parse
 from folkit.perturb import random_rule
-from folkit.fol import BinaryOp, Group, Literal, Negation, print_canonical
+from folkit.fol import BinaryOp, FolRule, Group, Literal, Negation, print_canonical
+
+from helpers import describe
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def test_le_country_example_score_and_binding():
     res = le_score(gold, pred)
     assert res.score == 0.875
     assert res.rows_matched == 7 and res.rows_total == 8
-    described = res.binding.describe(atoms(parse(gold)), atoms(parse(pred)))
+    described = describe(res.binding, atoms(parse(gold)), atoms(parse(pred)))
     assert described == [
         "Country(x) ↔ DUMMY",
         "InEU(x) ↔ LocatedInEU(y)",
@@ -217,6 +219,45 @@ def test_binding_keeps_the_dataclass_value_contract():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(binding, name)
     assert binding == Binding(*args)
+
+
+_LEAF = Literal("P", ("A", "x"))
+
+# per frozen value class: the fields of the dataclass it was, then two argument
+# tuples whose values differ; the second leaves out a defaulted field if any
+_VALUE_CLASSES = [
+    (Literal, [("predicate", str), ("args", tuple), ("negated", bool, dataclasses.field(default=False))],
+     ("P", ("A", "x"), True), ("P", ("A", "x"))),
+    (Negation, [("child", object)], (_LEAF,), (Group(_LEAF),)),
+    (Group, [("child", object)], (_LEAF,), (Negation(_LEAF),)),
+    (BinaryOp, [("op", str), ("left", object), ("right", object)], ("∧", _LEAF, Group(_LEAF)), ("∨", _LEAF, _LEAF)),
+    (FolRule, [("prefix", tuple), ("body", object)], ((("∀", "x"),), _LEAF), ((), _LEAF)),
+    (Atom, [("predicate", str), ("args", tuple)], ("P", ("A",)), ("P", ("B",))),
+    (Binding, [("pairs", tuple), ("arity", int), ("cost", int, dataclasses.field(default=0))],
+     (((0, 1), (1, None)), 2, 4), (((0, 1), (1, None)), 2)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, args, other", _VALUE_CLASSES, ids=[c[0].__name__ for c in _VALUE_CLASSES])
+def test_frozen_values_keep_the_dataclass_value_contract(cls, fields, args, other):
+    reference = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    value = cls(*args)
+    for some in (args, other):
+        assert repr(cls(*some)) == repr(reference(*some))
+        assert hash(cls(*some)) == hash(reference(*some))
+    assert cls.__match_args__ == reference.__match_args__
+    assert not hasattr(value, "__dict__")
+    assert value == cls(*args) == cls(**dict(zip(cls.__match_args__, args)))
+    assert value != cls(*other) and value != reference(*args) and value != args
+    for copier in _COPIES.values():
+        twin = copier(value)
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+    for name in (*cls.__match_args__, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert value == cls(*args)
 
 
 def test_levenshtein():

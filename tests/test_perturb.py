@@ -1,14 +1,13 @@
 """Perturbation engine: exact inverses, validity preservation, sampling rates."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import folkit.perturb as perturb_module
-from folkit.fol import AND, BINARY_OPS, BinaryOp, Group, InvalidLocation, Literal, Negation, print_canonical
+from folkit.fol import AND, BINARY_OPS, BinaryOp, FolRule, Group, InvalidLocation, Literal, Negation, print_canonical
 from folkit.forge import forge_records
 from folkit.parser import MAX_OPERATORS, FolSyntaxError, parse, roundtrip_stable, validate
 from folkit.perturb import (
@@ -206,13 +205,13 @@ def _padded(rule, operators, rng):
     """The rule with negations and conjuncts added until its body holds exactly
     ``operators`` binary operators, groups and negations; it stays stable."""
     body = rule.body
-    while (have := _TreeView(replace(rule, body=body)).operators) < operators:
+    while (have := _TreeView(FolRule(rule.prefix, body)).operators) < operators:
         if operators - have >= 2 and rng.random() < 0.5:
             left = Group(body) if isinstance(body, BinaryOp) else body
             body = BinaryOp(AND, left, Literal("P", ("A",)))
         else:
             body = Negation(body)
-    return replace(rule, body=body)
+    return FolRule(rule.prefix, body)
 
 
 @st.composite

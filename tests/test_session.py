@@ -7,7 +7,6 @@ import pytest
 
 import folkit.metrics
 import folkit.parser
-from folkit.collect import ScriptedGenerator
 from folkit.forge import NO_CHANGES
 from folkit.metrics import GoldUnparseable, RewardConfig, reward
 from folkit.parser import parse
@@ -20,6 +19,8 @@ from folkit.session import (
     run_session,
     step,
 )
+
+from helpers import ScriptedGenerator
 
 DONE = f"### Corrections:\n{NO_CHANGES}\n### FOL:\nP(A)"
 
@@ -186,7 +187,8 @@ def parsed_texts(monkeypatch):
 
     The modules whose calls are counted are imported first, so each holds the
     real parse when it is wrapped, whatever was loaded before."""
-    import folkit.session  # noqa: F401 - and collect, forge, metrics and perturb
+    import folkit.perturb  # noqa: F401 - forge loads it only when it forges or replays
+    import folkit.session  # noqa: F401 - and endpoint, forge and metrics
 
     real = folkit.parser.parse
     texts = []
