@@ -15,7 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "fol": ("Atom", "BinaryOp", "FolRule", "Group", "Literal", "Negation", "atoms", "print_canonical"),
+    "fol": ("BinaryOp", "FolRule", "Group", "Literal", "Negation", "atoms", "print_canonical"),
     "metrics": ("RewardConfig", "fol_bleu", "fol_tokenize", "le_score", "reward"),
     "parser": ("FolSyntaxError", "parse", "validate"),
     "perturb": ("EditStep", "PerturbConfig", "apply_step", "sample_perturbation"),

@@ -389,15 +389,23 @@ def stats_cmd(in_path, out_path, top_terms, top_pairs, dry_run):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def bins_cmd(in_path, edges, group_key, out_path, dry_run):
     """Per-bin score means grouped by one score column."""
-    from .forge import bin_scores
+    from .forge import bin_scores, value_columns
 
-    rows = []
+    def finite(value) -> bool:  # JSON true is no number, and NaN or Infinity is no score
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+
+    numbered = []
     for n, row in rowio.jsonl(in_path):
-        value = row.get(group_key)
-        # JSON true is no number, and NaN or Infinity would fall out of every bin
-        if not (type(value) is int or (type(value) is float and math.isfinite(value))):
+        if not finite(row.get(group_key)):
             raise rowio.InputError(in_path, n, f"group key {group_key!r} is not a number")
-        rows.append(row)
+        numbered.append((n, row))
+    rows = [row for _, row in numbered]
+    columns = value_columns(rows)  # each must hold a finite number in every row
+    for n, row in numbered:
+        for k in columns:
+            if not finite(row.get(k)):
+                problem = "not a finite number" if k in row else "missing"
+                raise rowio.InputError(in_path, n, f"column {k!r} is {problem}")
     if dry_run:
         click.echo(f"dry-run: {len(rows)} rows, {len(edges) - 1} bins")
         return

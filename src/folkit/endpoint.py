@@ -13,6 +13,8 @@ from typing import Protocol
 
 from . import rowio
 
+MAX_ATTEMPTS = 3  # of one HTTP request, the first included
+
 
 class EndpointUnavailable(rowio.EndpointFault):
     pass
@@ -67,14 +69,12 @@ class HttpGenerator:
         model: str = "gpt-4",
         api_key_env: str = "FOLKIT_API_KEY",
         timeout: float = 60.0,
-        max_retries: int = 3,
         backoff: float = 2.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = os.environ.get(api_key_env, "")
         self.timeout = timeout
-        self.max_retries = max_retries
         self.backoff = backoff
 
     def generate(self, system: str, user: str) -> str:
@@ -97,7 +97,7 @@ class HttpGenerator:
             headers["Authorization"] = f"Bearer {self.api_key}"
         request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
         last_error: Exception | None = None
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     body = resp.read()
@@ -111,7 +111,7 @@ class HttpGenerator:
                 last_error = exc
             except http.client.HTTPException as exc:
                 raise EndpointUnavailable(f"{url}: bad HTTP response: {exc!r}") from exc
-            if attempt < self.max_retries - 1:
+            if attempt < MAX_ATTEMPTS - 1:
                 time.sleep(self.backoff * (attempt + 1))
         else:
             raise EndpointUnavailable(f"{url}: {last_error}")

@@ -119,26 +119,11 @@ class FolRule(FrozenSlots):
         _set_body(self, body)
 
 
-class Atom(FrozenSlots):
-    """Positive form of a literal occurrence; the unit of truth-table binding."""
-
-    __slots__ = ("predicate", "args")
-
-    def __init__(self, predicate: str, args: tuple[str, ...]):
-        _set_atom_predicate(self, predicate)
-        _set_atom_args(self, args)
-
-    @property
-    def canonical_text(self) -> str:
-        return f"{self.predicate}({', '.join(self.args)})"
-
-
 _set_predicate, _set_args, _set_negated = slot_setters(Literal)
 (_set_negation_child,) = slot_setters(Negation)
 (_set_group_child,) = slot_setters(Group)
 _set_op, _set_left, _set_right = slot_setters(BinaryOp)
 _set_prefix, _set_body = slot_setters(FolRule)
-_set_atom_predicate, _set_atom_args = slot_setters(Atom)
 
 
 def is_variable(name: str) -> bool:
@@ -187,15 +172,15 @@ def literal_occurrences(rule: FolRule) -> list[Literal]:
     return [node for _, node in iter_locations(rule) if isinstance(node, Literal)]
 
 
-def atoms(rule: FolRule) -> list[Atom]:
-    """Distinct positive literal forms in first-occurrence order."""
-    seen: set[str] = set()
-    out: list[Atom] = []
+def atoms(rule: FolRule) -> list[Literal]:
+    """The distinct atoms, the positive forms of the literals, in first-occurrence
+    order; the unit of truth-table binding. A positive literal is its own atom."""
+    seen: set[tuple] = set()
+    out: list[Literal] = []
     for lit in literal_occurrences(rule):
-        atom = Atom(lit.predicate, lit.args)
-        if atom.canonical_text not in seen:
-            seen.add(atom.canonical_text)
-            out.append(atom)
+        if (lit.predicate, lit.args) not in seen:
+            seen.add((lit.predicate, lit.args))
+            out.append(Literal(lit.predicate, lit.args) if lit.negated else lit)
     return out
 
 
@@ -239,7 +224,8 @@ def tokens(rule: FolRule) -> list[str]:
 #
 # A location is a tuple: ("prefix", i) addresses the i-th quantifier,
 # ("body", i0, i1, ...) descends from the body root, where each index selects
-# a child (0 = left/only child, 1 = right).
+# a child (0 = left/only child, 1 = right). _spine descends to a body location
+# once, and an edit rebuilds the ancestors from that spine (_rebuild).
 
 Location = tuple
 
@@ -277,7 +263,12 @@ def get_node(rule: FolRule, loc: Location) -> FormulaNode:
 
 def replace_node(rule: FolRule, loc: Location, new: FormulaNode) -> FolRule:
     """A copy of the rule with the node at loc replaced; its ancestors are rebuilt."""
-    spine = _spine(rule, loc)
+    return _rebuild(rule, loc, _spine(rule, loc), new)
+
+
+def _rebuild(rule: FolRule, loc: Location, spine: list[FormulaNode], new: FormulaNode) -> FolRule:
+    """replace_node, given spine = _spine(rule, loc). Each ancestor is rebuilt
+    with its own type and operator, so the spine still tells them."""
     for parent, idx in zip(reversed(spine[:-1]), reversed(loc[1:])):
         if isinstance(parent, BinaryOp):
             new = BinaryOp(parent.op, new, parent.right) if idx == 0 else BinaryOp(parent.op, parent.left, new)

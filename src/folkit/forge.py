@@ -359,10 +359,15 @@ def corpus_stats(
 # binned score analysis
 
 
+def value_columns(rows: list[dict]) -> list[str]:
+    """The keys that hold a number, an int or a float but no bool, in some row; sorted."""
+    return sorted({k for row in rows for k, v in row.items() if type(v) in (int, float)})
+
+
 def bin_scores(
     rows: list[dict], edges: list[float], group_key: str = "gpt_le"
 ) -> list[dict]:
-    """Group rows into half-open bins by one score column and average the rest.
+    """Group rows into half-open bins by one score column and average the value columns.
 
     Edges must be strictly decreasing from 1.0; bin i covers
     (edges[i+1], edges[i]], with the final bin closed at its lower edge.
@@ -370,7 +375,7 @@ def bin_scores(
     """
     if not edges or edges[0] != 1.0 or any(a <= b for a, b in zip(edges, edges[1:])):
         raise ValueError("edges must be strictly decreasing from 1.0")
-    value_keys = sorted({k for row in rows for k in row if isinstance(row[k], (int, float))})
+    value_keys = value_columns(rows)
     out = []
     for i in range(len(edges) - 1):
         upper, lower = edges[i], edges[i + 1]

@@ -39,7 +39,6 @@ from .fol import (
     IMPLIES,
     OR,
     XOR,
-    Atom,
     FolRule,
     FormulaNode,
     FrozenSlots,
@@ -111,7 +110,7 @@ class LeResult:
 _VAR_PLACEHOLDER = "·"
 
 
-def _masked_text(atom: Atom) -> str:
+def _masked_text(atom: Literal) -> str:
     # variable names carry no meaning across rules; mask them before comparing
     args = [_VAR_PLACEHOLDER if is_variable(a) else a for a in atom.args]
     return f"{atom.predicate}({', '.join(args)})"
@@ -147,7 +146,7 @@ def levenshtein(a: str, b: str) -> int:
     return len(a) + pv.bit_count() - mv.bit_count()
 
 
-def bind_atoms(p: list[Atom], q: list[Atom], search_cap: int = 1000) -> Iterator[Binding]:
+def bind_atoms(p: list[Literal], q: list[Literal], search_cap: int = 1000) -> Iterator[Binding]:
     """The first search_cap candidate bindings, greedy-preferred first, built lazily.
 
     Iterates the first list in order, pairing each atom with its unclaimed

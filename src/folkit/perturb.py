@@ -5,6 +5,10 @@ delete term/negation/formula) with stable AST locations and exact inverses.
 Every applied edit must leave the rule grammatically valid and print-parse
 stable, so a perturbed rule can be serialized and the correction steps
 replayed from text.
+
+An edit descends its tree once (fol._spine), turns the node there into a new
+one (_edit_node) and rebuilds the ancestors from the same spine; the sampler's
+stability check reads the new node and its parent from that descent too.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from .fol import (
     Literal,
     Location,
     Negation,
+    _rebuild,
     _spine,
     get_node,
     is_variable,
     iter_locations,
     node_text,
-    replace_node,
 )
 from .parser import _STRENGTH, MAX_OPERATORS, _is_name, _nests_bare, parse, roundtrip_stable
 
@@ -117,115 +121,105 @@ def _is_prefix_loc(loc: Location) -> bool:
     return bool(loc) and loc[0] == "prefix"
 
 
-def _apply(rule: FolRule, step: EditStep) -> FolRule:
-    kind, loc, pl = step.kind, step.loc, step.payload
+_TERM_KINDS = ("change_term", "insert_term", "delete_term")  # the kinds that also edit the prefix
 
+
+def _edit_prefix(rule: FolRule, step: EditStep) -> FolRule:
+    """A term kind at ("prefix", i): change, insert or delete a quantified variable."""
+    kind, loc, pl = step.kind, step.loc, step.payload
+    i, prefix = loc[1], list(rule.prefix)
+    if kind == "delete_term":
+        if i >= len(prefix) or rule.prefix[i] != (pl["quant"], pl["var"]):
+            raise InvalidLocation(f"no quantifier {pl['quant']}{pl['var']} at position {i}")
+        del prefix[i]
+    else:
+        if kind == "change_term" and (i >= len(prefix) or rule.prefix[i][1] != pl["old"]):
+            raise InvalidLocation(f"no quantified variable {pl['old']!r} at {loc!r}")
+        if kind == "insert_term" and i > len(prefix):
+            raise InvalidLocation(f"prefix position {i} out of range")
+        key = "new" if kind == "change_term" else "var"
+        if any(v == pl[key] for _, v in rule.prefix):
+            raise WouldProduceInvalid(f"variable {pl[key]!r} already quantified")
+        if kind == "change_term":
+            prefix[i] = (prefix[i][0], pl["new"])
+        else:
+            prefix.insert(i, (pl["quant"], pl["var"]))
+    return FolRule(tuple(prefix), rule.body)
+
+
+def _edit_node(node: FormulaNode, step: EditStep) -> FormulaNode:
+    """The node that a body edit puts in place of node, the node at its location."""
+    kind, loc, pl = step.kind, step.loc, step.payload
     if kind == "change_predicate":
-        node = get_node(rule, loc)
         if not isinstance(node, Literal) or node.predicate != pl["old"]:
             raise InvalidLocation(f"no literal {pl['old']!r} at {loc!r}")
-        return replace_node(rule, loc, Literal(pl["new"], node.args, node.negated))
-
-    if kind == "change_term":
-        if _is_prefix_loc(loc):
-            i = loc[1]
-            if i >= len(rule.prefix) or rule.prefix[i][1] != pl["old"]:
-                raise InvalidLocation(f"no quantified variable {pl['old']!r} at {loc!r}")
-            if any(v == pl["new"] for _, v in rule.prefix):
-                raise WouldProduceInvalid(f"variable {pl['new']!r} already quantified")
-            prefix = list(rule.prefix)
-            prefix[i] = (prefix[i][0], pl["new"])
-            return FolRule(tuple(prefix), rule.body)
-        node = get_node(rule, loc)
-        k = pl["index"]
-        if not isinstance(node, Literal) or k >= len(node.args) or node.args[k] != pl["old"]:
-            raise InvalidLocation(f"no term {pl['old']!r} at {loc!r}[{k}]")
-        args = list(node.args)
-        args[k] = pl["new"]
-        return replace_node(rule, loc, Literal(node.predicate, tuple(args), node.negated))
-
+        return Literal(pl["new"], node.args, node.negated)
     if kind == "change_operator":
-        node = get_node(rule, loc)
         if not isinstance(node, BinaryOp) or node.op != pl["old"]:
             raise InvalidLocation(f"no operator {pl['old']!r} at {loc!r}")
-        return replace_node(rule, loc, BinaryOp(pl["new"], node.left, node.right))
-
-    if kind == "insert_term":
-        if _is_prefix_loc(loc):
-            i = loc[1]
-            if i > len(rule.prefix):
-                raise InvalidLocation(f"prefix position {i} out of range")
-            if any(v == pl["var"] for _, v in rule.prefix):
-                raise WouldProduceInvalid(f"variable {pl['var']!r} already quantified")
-            prefix = list(rule.prefix)
-            prefix.insert(i, (pl["quant"], pl["var"]))
-            return FolRule(tuple(prefix), rule.body)
-        node = get_node(rule, loc)
+        return BinaryOp(pl["new"], node.left, node.right)
+    if kind in _TERM_KINDS:
         k = pl["index"]
-        if not isinstance(node, Literal) or k > len(node.args):
-            raise InvalidLocation(f"cannot insert term at {loc!r}[{k}]")
-        args = list(node.args)
-        args.insert(k, pl["term"])
-        return replace_node(rule, loc, Literal(node.predicate, tuple(args), node.negated))
-
-    if kind == "delete_term":
-        if _is_prefix_loc(loc):
-            i = loc[1]
-            if i >= len(rule.prefix) or rule.prefix[i] != (pl["quant"], pl["var"]):
-                raise InvalidLocation(f"no quantifier {pl['quant']}{pl['var']} at position {i}")
-            prefix = list(rule.prefix)
-            del prefix[i]
-            return FolRule(tuple(prefix), rule.body)
-        node = get_node(rule, loc)
-        k = pl["index"]
-        if not isinstance(node, Literal) or k >= len(node.args) or node.args[k] != pl["term"]:
-            raise InvalidLocation(f"no term {pl['term']!r} at {loc!r}[{k}]")
-        if len(node.args) == 1:
-            raise WouldProduceInvalid("cannot delete the last term of a literal")
-        args = list(node.args)
-        del args[k]
-        return replace_node(rule, loc, Literal(node.predicate, tuple(args), node.negated))
-
+        if kind == "change_term":
+            if not isinstance(node, Literal) or k >= len(node.args) or node.args[k] != pl["old"]:
+                raise InvalidLocation(f"no term {pl['old']!r} at {loc!r}[{k}]")
+            args = list(node.args)
+            args[k] = pl["new"]
+        elif kind == "insert_term":
+            if not isinstance(node, Literal) or k > len(node.args):
+                raise InvalidLocation(f"cannot insert term at {loc!r}[{k}]")
+            args = list(node.args)
+            args.insert(k, pl["term"])
+        else:
+            if not isinstance(node, Literal) or k >= len(node.args) or node.args[k] != pl["term"]:
+                raise InvalidLocation(f"no term {pl['term']!r} at {loc!r}[{k}]")
+            if len(node.args) == 1:
+                raise WouldProduceInvalid("cannot delete the last term of a literal")
+            args = list(node.args)
+            del args[k]
+        return Literal(node.predicate, tuple(args), node.negated)
     if kind == "insert_negation":
-        node = get_node(rule, loc)
         if pl.get("mode") == "flag":
             if not isinstance(node, Literal) or node.negated:
                 raise InvalidLocation(f"no positive literal at {loc!r}")
-            return replace_node(rule, loc, Literal(node.predicate, node.args, True))
-        return replace_node(rule, loc, Negation(node))
-
+            return Literal(node.predicate, node.args, True)
+        return Negation(node)
     if kind == "delete_negation":
-        node = get_node(rule, loc)
         if pl.get("mode") == "flag":
             if not isinstance(node, Literal) or not node.negated:
                 raise InvalidLocation(f"no negated literal at {loc!r}")
-            return replace_node(rule, loc, Literal(node.predicate, node.args, False))
+            return Literal(node.predicate, node.args, False)
         if not isinstance(node, Negation):
             raise InvalidLocation(f"no negation at {loc!r}")
-        return replace_node(rule, loc, node.child)
-
+        return node.child
     if kind == "insert_formula":
-        node = get_node(rule, loc)
         sub = _parse_subformula(pl["formula"])
-        if pl["side"] == "right":
-            return replace_node(rule, loc, BinaryOp(pl["op"], node, sub))
-        return replace_node(rule, loc, BinaryOp(pl["op"], sub, node))
+        return BinaryOp(pl["op"], node, sub) if pl["side"] == "right" else BinaryOp(pl["op"], sub, node)
+    # delete_formula
+    if not isinstance(node, BinaryOp) or node.op != pl["op"]:
+        raise InvalidLocation(f"no operator {pl['op']!r} at {loc!r}")
+    doomed, kept = (node.right, node.left) if pl["side"] == "right" else (node.left, node.right)
+    if node_text(doomed) != pl["formula"]:
+        raise InvalidLocation(f"formula at {loc!r} does not match {pl['formula']!r}")
+    return kept
 
-    if kind == "delete_formula":
-        node = get_node(rule, loc)
-        if not isinstance(node, BinaryOp) or node.op != pl["op"]:
-            raise InvalidLocation(f"no operator {pl['op']!r} at {loc!r}")
-        doomed, kept = (node.right, node.left) if pl["side"] == "right" else (node.left, node.right)
-        if node_text(doomed) != pl["formula"]:
-            raise InvalidLocation(f"formula at {loc!r} does not match {pl['formula']!r}")
-        return replace_node(rule, loc, kept)
 
-    raise ValueError(f"unknown edit kind {step.kind!r}")
+def _apply(rule: FolRule, step: EditStep) -> tuple[FolRule, list[FormulaNode] | None, FormulaNode | None]:
+    """The rule the step makes, the spine of the old rule down to the step's
+    location (fol._spine) and the new node put there. The tree is descended
+    once; for a prefix edit the spine and the node are None."""
+    if step.kind not in ALL_KINDS:
+        raise ValueError(f"unknown edit kind {step.kind!r}")
+    if _is_prefix_loc(step.loc) and step.kind in _TERM_KINDS:
+        return _edit_prefix(rule, step), None, None
+    spine = _spine(rule, step.loc)
+    node = _edit_node(spine[-1], step)
+    return _rebuild(rule, step.loc, spine, node), spine, node
 
 
 def apply_step(rule: FolRule, step: EditStep) -> FolRule:
     """Apply one edit, returning a new rule; the input is never mutated."""
-    new_rule = _apply(rule, step)
+    new_rule = _apply(rule, step)[0]
     if not roundtrip_stable(new_rule):
         raise WouldProduceInvalid(
             f"{step.kind} at {step.loc!r} would break print-parse stability"
@@ -460,9 +454,10 @@ def _propose(rule: FolRule, view: _TreeView, kind: str, rng: random.Random) -> E
     raise ValueError(f"unknown edit kind {kind!r}")
 
 
-def _stable_after(view: _TreeView, new_rule: FolRule, step: EditStep) -> bool:
-    """roundtrip_stable(new_rule), where new_rule = _apply(rule, step) for a
-    stable rule and view = _TreeView(rule).
+def _stable_after(view: _TreeView, spine: list[FormulaNode] | None, node: FormulaNode | None,
+                  step: EditStep) -> bool:
+    """roundtrip_stable(new_rule), where (new_rule, spine, node) = _apply(rule,
+    step) for a stable rule and view = _TreeView(rule).
 
     Such an edit can break stability only through the names it brings in,
     where the node at its location meets its own children and its parent, and
@@ -484,9 +479,8 @@ def _stable_after(view: _TreeView, new_rule: FolRule, step: EditStep) -> bool:
         return True
 
     # the edit put a new node at loc: a changed operator, a wrapping negation,
-    # an inserted formula, or what a deleted negation or formula kept
-    spine = _spine(new_rule, loc)
-    node = spine[-1]
+    # an inserted formula, or what a deleted negation or formula kept; its
+    # rebuilt parent kept its type and operator, which the old spine tells
     if len(spine) > 1 and isinstance(spine[-2], BinaryOp):
         if not _nests_bare(spine[-2].op, node, "left" if loc[-1] == 0 else "right"):
             return False
@@ -520,10 +514,10 @@ def _sample_step(rule: FolRule, rng: random.Random) -> tuple[EditStep, FolRule]:
             if step is None:
                 break
             try:
-                new_rule = _apply(rule, step)
+                new_rule, spine, node = _apply(rule, step)
             except (InvalidLocation, WouldProduceInvalid):
                 continue
-            if _stable_after(view, new_rule, step):
+            if _stable_after(view, spine, node, step):
                 return step, new_rule
         kinds.remove(kind)
     # unreachable from a stable rule, where change_predicate always applies

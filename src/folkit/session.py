@@ -42,17 +42,17 @@ class RepairFailed(Exception):
     """The initial prediction could not be repaired into parseable FOL."""
 
 
+MAX_OUTPUT_TOKENS = 256  # whitespace tokens per generation; a longer one ends the session
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     max_generations: int = 10
-    max_output_tokens: int = 256  # whitespace tokens per generation
     reward: RewardConfig = RewardConfig()
 
     def __post_init__(self):
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
 
 
 @dataclass
@@ -138,7 +138,7 @@ def step(
     prev_snapshot = list(state.prev_steps)
     output = generator.generate(SESSION_SYSTEM_PROMPT, _t3_input(state))
     state.generation_index += 1
-    over_limit = len(output.split()) > config.max_output_tokens
+    over_limit = len(output.split()) > MAX_OUTPUT_TOKENS
 
     candidate, rule = state.current_fol, state.current_rule
     try:

@@ -5,6 +5,7 @@ rendering of an LE binding.
 """
 
 from folkit.endpoint import ReplayExhausted
+from folkit.fol import node_text
 
 
 class ScriptedGenerator:
@@ -31,7 +32,7 @@ def describe(binding, p, q) -> list[str]:
     """One ``left ↔ right`` line per pair of ``binding`` over the atom lists ``p`` and ``q``."""
     out = []
     for pi, qi in binding.pairs:
-        left = p[pi].canonical_text if pi is not None else "DUMMY"
-        right = q[qi].canonical_text if qi is not None else "DUMMY"
+        left = node_text(p[pi]) if pi is not None else "DUMMY"
+        right = node_text(q[qi]) if qi is not None else "DUMMY"
         out.append(f"{left} ↔ {right}")
     return out

@@ -231,6 +231,14 @@ def test_bins(tmp_path):
     assert bins[0]["count"] == 1 and bins[1]["count"] == 1
 
 
+def test_bins_ignores_text_and_boolean_columns(tmp_path):
+    path = _write(tmp_path / "scores.jsonl", '{"gpt_le": 0.9, "ok": true, "note": "a"}\n{"gpt_le": 0.2, "ok": false}\n')
+    result = CliRunner().invoke(main, ["bins", "--in", path, "--edges", "1.0,0.5,0.0"])
+    assert result.exit_code == 0, result.output
+    bins = json.loads(result.stdout)
+    assert [sorted(b) for b in bins] == [["count", "lower", "mean_gpt_le", "upper"]] * 2
+
+
 def test_bins_bad_edges_is_data_error(tmp_path):
     path = _write(tmp_path / "scores.jsonl", '{"gpt_le": 1.0}')
     result = CliRunner().invoke(main, ["bins", "--in", path, "--edges", "0.5,0.9"])
@@ -451,6 +459,18 @@ MALFORMED = [
         "bins", "--in", _write(t / "s.jsonl", f'{{"gpt_le": 0.9, "x": 2}}\n{{"gpt_le": {value}, "x": 4}}\n'),
         "--edges", "1.0,0.5,0.0"], ["s.jsonl:2: group key 'gpt_le' is not a number"])
       for value in ("true", "NaN", "Infinity")),
+    # a column that holds a number in some row must hold a finite number in every row
+    *((f"bins-value-{name}", lambda t, rows=rows: [
+        "bins", "--in", _write(t / "s.jsonl", rows), "--edges", "1.0,0.5,0.0"], [where])
+      for name, rows, where in (
+          ("nan", '{"gpt_le": 0.9, "x": NaN, "y": true}\n{"gpt_le": 0.8, "x": 1, "y": false}\n',
+           "s.jsonl:1: column 'x' is not a finite number"),
+          ("missing", '{"gpt_le": 0.9, "x": 1}\n{"gpt_le": 0.8}\n', "s.jsonl:2: column 'x' is missing"),
+          ("text", '{"gpt_le": 0.9, "x": 1}\n{"gpt_le": 0.8, "x": "a"}\n',
+           "s.jsonl:2: column 'x' is not a finite number"),
+          ("true", '{"gpt_le": 0.9, "x": 1.5}\n{"gpt_le": 0.8, "x": true}\n',
+           "s.jsonl:2: column 'x' is not a finite number"),
+      )),
 ]
 
 
@@ -566,7 +586,7 @@ def test_cli_import_leaves_multiprocessing_out():
 
 # the names `import folkit` loaded eagerly before its re-exports became lazy, by defining module
 _REEXPORTS = {
-    "fol": ["Atom", "BinaryOp", "FolRule", "Group", "Literal", "Negation", "atoms", "print_canonical"],
+    "fol": ["BinaryOp", "FolRule", "Group", "Literal", "Negation", "atoms", "print_canonical"],
     "metrics": ["RewardConfig", "fol_bleu", "fol_tokenize", "le_score", "reward"],
     "parser": ["FolSyntaxError", "parse", "validate"],
     "perturb": ["EditStep", "PerturbConfig", "apply_step", "sample_perturbation"],

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkit.fol import Atom, atoms, is_variable
+from folkit.fol import atoms, is_variable
 import folkit.metrics
 from folkit.metrics import (
     MAX_ATOMS,
@@ -232,7 +232,6 @@ _VALUE_CLASSES = [
     (Group, [("child", object)], (_LEAF,), (Negation(_LEAF),)),
     (BinaryOp, [("op", str), ("left", object), ("right", object)], ("∧", _LEAF, Group(_LEAF)), ("∨", _LEAF, _LEAF)),
     (FolRule, [("prefix", tuple), ("body", object)], ((("∀", "x"),), _LEAF), ((), _LEAF)),
-    (Atom, [("predicate", str), ("args", tuple)], ("P", ("A",)), ("P", ("B",))),
     (Binding, [("pairs", tuple), ("arity", int), ("cost", int, dataclasses.field(default=0))],
      (((0, 1), (1, None)), 2, 4), (((0, 1), (1, None)), 2)),
 ]
@@ -282,7 +281,7 @@ def _dp_levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _reference_bind_atoms(p: list[Atom], q: list[Atom], search_cap: int) -> list[Binding]:
+def _reference_bind_atoms(p: list[Literal], q: list[Literal], search_cap: int) -> list[Binding]:
     def masked(atom):
         args = ["·" if is_variable(a) else a for a in atom.args]
         return f"{atom.predicate}({', '.join(args)})"
@@ -329,7 +328,7 @@ def test_levenshtein_matches_dynamic_programme(a, b):
 
 # few names, so that many partners tie on distance
 _ATOMS = st.builds(
-    Atom,
+    Literal,
     st.sampled_from(["P", "Q", "PQ", "Rab", "Rét"]),
     st.lists(st.sampled_from(["x", "y", "A", "B", "Ab"]), min_size=1, max_size=3).map(tuple),
 )

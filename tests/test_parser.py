@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import folkit.parser as parser_module
 from folkit.fol import (
-    Atom,
     BinaryOp,
     FolRule,
     Group,
@@ -128,7 +127,8 @@ def test_free_variables_allowed():
 
 def test_atoms_dedup_first_occurrence_order():
     rule = parse("¬P(A) ∨ Q(A) ∧ P(A)")
-    assert atoms(rule) == [Atom("P", ("A",)), Atom("Q", ("A",))]
+    assert atoms(rule) == [Literal("P", ("A",)), Literal("Q", ("A",))]
+    assert atoms(rule)[1] is literal_occurrences(rule)[1]  # a positive literal is its own atom
 
 
 def test_tokens_are_tree_leaves():

@@ -7,7 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import folkit.perturb as perturb_module
-from folkit.fol import AND, BINARY_OPS, BinaryOp, FolRule, Group, InvalidLocation, Literal, Negation, print_canonical
+from folkit.fol import (
+    AND,
+    BINARY_OPS,
+    BinaryOp,
+    FolRule,
+    Group,
+    InvalidLocation,
+    Literal,
+    Negation,
+    _spine,
+    get_node,
+    print_canonical,
+)
 from folkit.forge import forge_records
 from folkit.parser import MAX_OPERATORS, FolSyntaxError, parse, roundtrip_stable, validate
 from folkit.perturb import (
@@ -31,6 +43,7 @@ from folkit.perturb import (
     step_from_dict,
     step_to_dict,
 )
+from perturb_reference import _apply as reference_apply
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +282,48 @@ def test_local_check_equals_roundtrip_stable(rule, seed, data):
                 break
             for edit in (step, data.draw(_variant(step, view))):
                 try:
-                    new_rule = _apply(rule, edit)
+                    new_rule, spine, node = _apply(rule, edit)
                 except (InvalidLocation, WouldProduceInvalid, FolSyntaxError):
                     continue
-                assert _stable_after(view, new_rule, edit) == roundtrip_stable(new_rule), edit
+                assert _stable_after(view, spine, node, edit) == roundtrip_stable(new_rule), edit
+
+
+def _outcome(apply, rule, step):
+    """What apply makes of the step: its rule, or the type and message of what it raises."""
+    try:
+        return apply(rule, step)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=_stable_rules(), seed=st.integers(0, 2**32), data=st.data())
+def test_apply_matches_the_reference(rule, seed, data):
+    """_apply makes the rule that the reference makes, which descended twice per
+    body edit, or raises the same exception type and message: for every edit
+    the sampler proposes, its variants, unknown kinds, and every kind at
+    another body location and at a prefix location. A body edit also returns
+    the old spine down to its location and the node it put there."""
+    view = _TreeView(rule)
+    rng = random.Random(seed)
+    for kind in ALL_KINDS:
+        step = _propose(rule, view, kind, rng)
+        if step is None:
+            continue
+        odd = data.draw(st.sampled_from(["swap_term", "", "Change_predicate"]))
+        elsewhere = data.draw(st.sampled_from([loc for loc, _ in view.nodes]))
+        prefix = ("prefix", data.draw(st.integers(0, len(rule.prefix) + 1)))
+        variant = data.draw(_variant(step, view))
+        for edit in (step, variant, EditStep(odd, step.loc, step.payload), EditStep(kind, elsewhere, step.payload),
+                     EditStep(kind, prefix, variant.payload)):
+            got = _outcome(_apply, rule, edit)
+            if isinstance(got, tuple) and isinstance(got[0], FolRule):
+                new_rule, spine, node = got
+                assert new_rule == reference_apply(rule, edit), edit
+                if spine is not None:
+                    assert spine == _spine(rule, edit.loc) and get_node(new_rule, edit.loc) is node, edit
+            else:
+                assert got == _outcome(reference_apply, rule, edit), edit
 
 
 def test_local_check_refuses_every_kind_of_instability():
@@ -297,9 +348,9 @@ def test_local_check_refuses_every_kind_of_instability():
                                                          {"op": "∧", "side": "right", "formula": "¬(R1(A))"})),
     ]
     for before, step in cases:
-        new_rule = _apply(before, step)
+        new_rule, spine, node = _apply(before, step)
         assert not roundtrip_stable(new_rule), step
-        assert not _stable_after(_TreeView(before), new_rule, step), step
+        assert not _stable_after(_TreeView(before), spine, node, step), step
 
 
 def test_forge_t3_walks_each_tree_once_and_never_checks_it_whole(monkeypatch):
@@ -333,7 +384,7 @@ def test_forge_t3_walks_each_tree_once_and_never_checks_it_whole(monkeypatch):
 
 def test_sampler_raises_when_every_proposal_is_refused(monkeypatch):
     """With every proposal refused, the sampler raises: it has no fallback edit."""
-    monkeypatch.setattr(perturb_module, "_stable_after", lambda view, new_rule, step: False)
+    monkeypatch.setattr(perturb_module, "_stable_after", lambda view, spine, node, step: False)
     with pytest.raises(WouldProduceInvalid, match="must be print-parse stable"):
         perturb_module._sample_step(parse("∀x (P(x) → Q(x))"), random.Random(0))
 

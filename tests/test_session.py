@@ -93,7 +93,7 @@ def test_step_over_length_output_stops():
     state = SessionState(nl="nl", fol_initial="Q(A)", current_fol="Q(A)")
     long_tail = " ".join(["word"] * 300)
     gen = ScriptedGenerator([_correction("a step", "Q(A)") + "\n" + long_tail])
-    step(state, gen, config=SessionConfig(max_output_tokens=256))
+    step(state, gen)
     assert state.status == "done_limit"
 
 
@@ -174,7 +174,7 @@ def test_run_batch_streams_experience(tmp_path):
 # configuration and parsing
 
 
-@pytest.mark.parametrize("field", ["max_generations", "max_output_tokens"])
+@pytest.mark.parametrize("field", ["max_generations"])
 @pytest.mark.parametrize("value", [0, -5])
 def test_session_config_rejects_counts_below_one(field, value):
     with pytest.raises(ValueError, match=field):
