@@ -43,8 +43,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger("folkit")
 
-EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_ENDPOINT = 4
 
@@ -84,14 +82,6 @@ class _Main(click.Group):
             raise EndpointError(str(exc)) from exc
 
 
-def _setup_logging(verbose: bool) -> None:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
 def _fol(path: str, n: int, text: str) -> str:
     """The FOL on a stripped, non-blank line; a JSONL row may carry it under 'fol' or 'FOL'."""
     if text.startswith("{"):
@@ -119,12 +109,6 @@ def _aligned(path_a: str, path_b: str) -> Iterator[tuple[int, str, str]]:
             raise rowio.InputError(path, n, f"line is {gap}, but {other}:{n} is not")
 
 
-def _check_counts(path_a: str, rows_a: list, path_b: str, rows_b: list) -> None:
-    """Two line-aligned inputs must hold the same number of rows."""
-    if len(rows_a) != len(rows_b):
-        raise DataError(f"{path_a} and {path_b} differ in length: {len(rows_a)} against {len(rows_b)} rows")
-
-
 def _number_list(kind, minimum=None):
     """A click callback parsing a comma-separated list of ``kind`` numbers,
     each at least ``minimum`` when one is given."""
@@ -143,12 +127,9 @@ def _number_list(kind, minimum=None):
 
 @click.group(cls=_Main)
 @click.version_option(__version__)
-@click.option("--verbose", is_flag=True, help="Debug logging.")
-@click.pass_context
-def main(ctx, verbose):
+def main():
     """FOL toolkit: parse, score, perturb, forge, collect, correct."""
-    ctx.ensure_object(dict)
-    _setup_logging(verbose)
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +252,13 @@ def score_cmd(gold, pred, pairs, omega, max_atoms, workers, out_path, dry_run):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--n-perturb", default="0,1,2,3,4,5,6,7,8,9,10", show_default=True, callback=_number_list(int, minimum=0))
-@click.option("--n-correct", default="0,1,2,3", show_default=True, callback=_number_list(int, minimum=0))
 @click.option("--negative-prob", default=0.2, show_default=True, type=click.FloatRange(0.0, 1.0))
 @click.option("--seed", default=0, show_default=True)
-def perturb_cmd(in_path, out_path, n_perturb, n_correct, negative_prob, seed, dry_run):
+def perturb_cmd(in_path, out_path, n_perturb, negative_prob, seed, dry_run):
     """Emit one perturbation record per input rule."""
     from .perturb import PerturbConfig, _sample_with_texts, step_to_dict
 
-    config = PerturbConfig(
-        n_perturb_choices=n_perturb,
-        n_correct_choices=n_correct,
-        negative_prob=negative_prob,
-        seed=seed,
-    )
+    config = PerturbConfig(n_perturb_choices=n_perturb, negative_prob=negative_prob, seed=seed)
     rules = []
     for n, text in _read_lines(in_path):
         try:
@@ -333,12 +308,13 @@ def forge_cmd(task, count, seed, in_path, out_path, predictions, negative_prob, 
     config = PerturbConfig(negative_prob=negative_prob, seed=seed)
     pairs = rowio.load_pairs(in_path)
     if not pairs:
-        raise DataError(f"no pairs in {in_path}")
+        raise rowio.DataFault(f"no pairs in {in_path}")
     preds = None
     if predictions:
         # blank lines are kept: line i is the prediction for pair i
         preds = [text.strip() for _, text in rowio.lines(predictions)]
-        _check_counts(predictions, preds, in_path, pairs)
+        if len(preds) != len(pairs):
+            raise rowio.DataFault(f"{predictions} and {in_path} differ in length: {len(preds)} against {len(pairs)} rows")
         for n, text in enumerate(preds, 1):
             if not text:
                 raise rowio.InputError(predictions, n, "empty prediction")
@@ -406,13 +382,13 @@ def bins_cmd(in_path, edges, group_key, out_path, dry_run):
             if not finite(row.get(k)):
                 problem = "not a finite number" if k in row else "missing"
                 raise rowio.InputError(in_path, n, f"column {k!r} is {problem}")
+    try:
+        result = bin_scores(rows, list(edges), group_key)
+    except ValueError as exc:  # edges not strictly decreasing from 1.0
+        raise rowio.DataFault(str(exc)) from None
     if dry_run:
         click.echo(f"dry-run: {len(rows)} rows, {len(edges) - 1} bins")
         return
-    try:
-        result = bin_scores(rows, list(edges), group_key)
-    except ValueError as exc:
-        raise DataError(str(exc))
     payload = json.dumps(result, indent=2)
     if out_path:
         Path(out_path).write_text(payload + "\n", encoding="utf-8")

@@ -8,7 +8,6 @@ here, so ``collect.ReplayGenerator`` is ``endpoint.ReplayGenerator``.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,8 +19,6 @@ from .endpoint import EndpointUnavailable, Generator, HttpGenerator, ReplayExhau
 from .fol import FolRule, camel_words, literal_occurrences
 from .parser import validate
 from .parser import Verdict as SyntaxVerdict
-
-log = logging.getLogger(__name__)
 
 
 class InsufficientCorpus(rowio.DataFault):

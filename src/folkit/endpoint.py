@@ -13,6 +13,8 @@ from typing import Protocol
 
 from . import rowio
 
+API_KEY_ENV = "FOLKIT_API_KEY"  # the environment variable that holds the API key
+TIMEOUT_S = 60.0  # of one HTTP attempt
 MAX_ATTEMPTS = 3  # of one HTTP request, the first included
 
 
@@ -56,25 +58,17 @@ class ReplayGenerator:
 
 class HttpGenerator:
     """Chat-completions-style HTTP client; the API key comes from the
-    environment, never from flags or files.
+    environment variable API_KEY_ENV, never from flags or files.
 
     Timeouts, connection errors, 429 and 5xx are retried (RFC 9110 §15);
     any other error status or a malformed body raises EndpointUnavailable
     at once.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str = "gpt-4",
-        api_key_env: str = "FOLKIT_API_KEY",
-        timeout: float = 60.0,
-        backoff: float = 2.0,
-    ):
+    def __init__(self, base_url: str, model: str = "gpt-4", backoff: float = 2.0):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = os.environ.get(api_key_env, "")
-        self.timeout = timeout
+        self.api_key = os.environ.get(API_KEY_ENV, "")
         self.backoff = backoff
 
     def generate(self, system: str, user: str) -> str:
@@ -99,7 +93,7 @@ class HttpGenerator:
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                     body = resp.read()
                 break
             except urllib.error.HTTPError as exc:

@@ -261,14 +261,10 @@ def get_node(rule: FolRule, loc: Location) -> FormulaNode:
     return _spine(rule, loc)[-1]
 
 
-def replace_node(rule: FolRule, loc: Location, new: FormulaNode) -> FolRule:
-    """A copy of the rule with the node at loc replaced; its ancestors are rebuilt."""
-    return _rebuild(rule, loc, _spine(rule, loc), new)
-
-
 def _rebuild(rule: FolRule, loc: Location, spine: list[FormulaNode], new: FormulaNode) -> FolRule:
-    """replace_node, given spine = _spine(rule, loc). Each ancestor is rebuilt
-    with its own type and operator, so the spine still tells them."""
+    """A copy of the rule with the node at loc replaced by new, given spine =
+    _spine(rule, loc). Each ancestor is rebuilt with its own type and
+    operator, so the spine still tells them."""
     for parent, idx in zip(reversed(spine[:-1]), reversed(loc[1:])):
         if isinstance(parent, BinaryOp):
             new = BinaryOp(parent.op, new, parent.right) if idx == 0 else BinaryOp(parent.op, parent.left, new)

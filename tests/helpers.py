@@ -1,11 +1,12 @@
 """Test-only helpers that the package itself never runs.
 
-A scripted generator, which answers from an in-memory list, and a readable
-rendering of an LE binding.
+A scripted generator, which answers from an in-memory list, a readable
+rendering of an LE binding, and a one-call node replacement for tests that
+edit trees.
 """
 
 from folkit.endpoint import ReplayExhausted
-from folkit.fol import node_text
+from folkit.fol import _rebuild, _spine, node_text
 
 
 class ScriptedGenerator:
@@ -36,3 +37,8 @@ def describe(binding, p, q) -> list[str]:
         right = node_text(q[qi]) if qi is not None else "DUMMY"
         out.append(f"{left} ↔ {right}")
     return out
+
+
+def replace_node(rule, loc, new):
+    """A copy of the rule with the node at loc replaced; its ancestors are rebuilt."""
+    return _rebuild(rule, loc, _spine(rule, loc), new)

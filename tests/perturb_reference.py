@@ -18,9 +18,10 @@ from folkit.fol import (
     Negation,
     get_node,
     node_text,
-    replace_node,
 )
 from folkit.perturb import EditStep, WouldProduceInvalid, _is_prefix_loc, _parse_subformula
+
+from helpers import replace_node
 
 
 def _apply(rule: FolRule, step: EditStep) -> FolRule:

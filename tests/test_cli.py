@@ -148,6 +148,29 @@ def test_score_pairs_tsv_and_output_file(tmp_path):
     assert rows[1]["le"] == 0.0
 
 
+def test_score_reads_every_input_format_the_same_way(tmp_path):
+    """TSV pairs, JSONL pairs under either key case, and --gold/--pred files give the same bytes."""
+    pairs = [("∀x (Dog(x) → Animal(x))", "∀x (Dog(x) → Mammal(x))"), ("P(A) ∧ Q(B)", "Q(B) ∧ P(A)"),
+             ("P(A)", "¬P(A)")]
+    inputs = {
+        "tsv": ["--pairs", _write(tmp_path / "pairs.tsv", "".join(f"{g}\t{p}\n" for g, p in pairs))],
+        "jsonl": ["--pairs", _write(tmp_path / "lower.jsonl",
+                                    "".join(json.dumps({"gold": g, "pred": p}) + "\n" for g, p in pairs))],
+        "JSONL": ["--pairs", _write(tmp_path / "upper.jsonl",
+                                    "".join(json.dumps({"GOLD": g, "PRED": p}) + "\n" for g, p in pairs))],
+        "files": ["--gold", _write(tmp_path / "g.txt", "".join(g + "\n" for g, _ in pairs)),
+                  "--pred", _write(tmp_path / "p.txt", "".join(p + "\n" for _, p in pairs))],
+    }
+    written = {}
+    for name, argv in inputs.items():
+        out = tmp_path / f"{name}.out.jsonl"
+        result = CliRunner().invoke(main, ["score", *argv, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written[name] = out.read_bytes()
+    assert len(set(written.values())) == 1, written
+    assert [json.loads(l)["gold"] for l in written["tsv"].decode().splitlines()] == [g for g, _ in pairs]
+
+
 def test_perturb_records(tmp_path):
     rules = _write(tmp_path / "rules.txt", "∀x (P(x) → Q(x))\nDog(Rex)\n")
     out = tmp_path / "perturbed.jsonl"
@@ -239,10 +262,12 @@ def test_bins_ignores_text_and_boolean_columns(tmp_path):
     assert [sorted(b) for b in bins] == [["count", "lower", "mean_gpt_le", "upper"]] * 2
 
 
-def test_bins_bad_edges_is_data_error(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_bins_bad_edges_is_data_error(tmp_path, flags):
     path = _write(tmp_path / "scores.jsonl", '{"gpt_le": 1.0}')
-    result = CliRunner().invoke(main, ["bins", "--in", path, "--edges", "0.5,0.9"])
-    assert result.exit_code == 3
+    result = CliRunner().invoke(main, ["bins", "--in", path, "--edges", "0.5,0.9", *flags])
+    assert result.exit_code == 3, result.output
+    assert "edges must be strictly decreasing from 1.0" in result.output
 
 
 def test_collect_replay(tmp_path):
@@ -483,8 +508,7 @@ def test_malformed_input_exits_3_with_location(tmp_path, build, where):
         assert text in result.output
 
 
-@pytest.mark.parametrize("argv", [["perturb", "--n-perturb", "a,b"], ["perturb", "--n-correct", "1,x"],
-                                  ["bins", "--edges", "1.0,x"]])
+@pytest.mark.parametrize("argv", [["perturb", "--n-perturb", "a,b"], ["bins", "--edges", "1.0,x"]])
 def test_bad_number_list_is_usage_error(tmp_path, argv):
     result = CliRunner().invoke(main, argv + ["--in", _write(tmp_path / "in.txt", "P(A)\n")])
     assert result.exit_code == 2
@@ -532,7 +556,7 @@ _RANGE_INPUTS = {
                                   ["correct", "--max-generations", "0"], ["correct", "--max-generations", "-5"],
                                   ["forge", "--count", "0"], ["forge", "--count", "-5"],
                                   ["perturb", "--n-perturb", "-3"], ["perturb", "--n-perturb", "1,-3"],
-                                  ["perturb", "--n-correct", "-1"], ["collect", "--target", "-1"],
+                                  ["collect", "--target", "-1"],
                                   ["collect", "--max-calls", "0"], ["collect", "--max-calls", "-1"],
                                   ["stats", "--top-terms", "-1"], ["stats", "--top-pairs", "-5"]])
 def test_score_reward_options_out_of_range_are_usage_errors(tmp_path, argv):
@@ -649,6 +673,7 @@ def test_every_command_logs_all_its_options_in_its_run_config(tmp_path, caplog, 
                  if r.getMessage().startswith("run config: ")]
     assert set(config) == {"command"} | {p.name for p in main.commands[command].params}
     assert config["command"] == command and config["dry_run"] is True
+    assert {p.name for p in main.params} == {"version"}  # the group takes no option the line would miss
 
 
 @pytest.mark.parametrize("case", ["package", *_COMMAND_RUNS])

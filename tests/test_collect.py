@@ -4,9 +4,11 @@ import http.server
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
+import urllib.request
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from folkit.collect import (
     parse_response,
     run_collection,
 )
+from folkit.endpoint import API_KEY_ENV, MAX_ATTEMPTS
 
 from helpers import ScriptedGenerator
 
@@ -256,14 +259,20 @@ def test_replay_generator(tmp_path):
         gen.generate("s", "u")
 
 
+_COMPLETION = json.dumps({"choices": [{"message": {"content": "hello"}}]}).encode()
+
+
 class _StubHandler(http.server.BaseHTTPRequestHandler):
-    """Answers each POST with the next scripted status; 200 carries a completion."""
+    """Answers each POST with the next scripted status, or (status, body); a
+    bare 200 carries a completion, any other bare status ``{}``. Records the
+    Authorization header of each request."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         self.server.requests += 1
+        self.server.auth.append(self.headers.get("Authorization"))
         status = self.server.statuses.pop(0)
-        body = json.dumps({"choices": [{"message": {"content": "hello"}}]}).encode() if status == 200 else b"{}"
+        status, body = status if isinstance(status, tuple) else (status, _COMPLETION if status == 200 else b"{}")
         self.send_response(status)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -278,8 +287,9 @@ def _stub_endpoint(monkeypatch, statuses):
     """A chat-completions stub on 127.0.0.1; yields (server, base URL)."""
     monkeypatch.setenv("no_proxy", "*")  # never route the stub through a proxy
     server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.statuses, server.requests = list(statuses), 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.statuses, server.requests, server.auth = list(statuses), 0, []
+    # shutdown() waits for the serve loop's next poll, 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_port}/v1"
@@ -301,6 +311,45 @@ def test_http_generator_fails_fast_on_client_errors(monkeypatch):
         with pytest.raises(EndpointUnavailable):
             HttpGenerator(url, backoff=0).generate("s", "u")
     assert server.requests == 1
+
+
+@pytest.mark.parametrize("statuses, requests, message", [
+    ([503] * MAX_ATTEMPTS, MAX_ATTEMPTS, "HTTP Error 503"),  # retryable, until the last attempt
+    ([(200, b"{}"), 200], 1, "malformed response body"),  # fatal at once
+], ids=["server-errors", "malformed-body"])
+def test_http_generator_gives_up(monkeypatch, statuses, requests, message):
+    with _stub_endpoint(monkeypatch, statuses) as (server, url):
+        with pytest.raises(EndpointUnavailable, match=message):
+            HttpGenerator(url, backoff=0).generate("s", "u")
+    assert server.requests == requests
+
+
+def test_http_generator_retries_a_refused_connection(monkeypatch):
+    with socket.socket() as sock:  # a port that was just free, and is closed again
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    monkeypatch.setenv("no_proxy", "*")
+    real, calls = urllib.request.urlopen, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting)
+    with pytest.raises(EndpointUnavailable, match="refused"):
+        HttpGenerator(f"http://127.0.0.1:{port}/v1", backoff=0).generate("s", "u")
+    assert len(calls) == MAX_ATTEMPTS
+
+
+@pytest.mark.parametrize("key", ["sk-test", None])
+def test_http_generator_sends_the_api_key_from_the_environment(monkeypatch, key):
+    if key is None:
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
+    else:
+        monkeypatch.setenv(API_KEY_ENV, key)
+    with _stub_endpoint(monkeypatch, [200]) as (server, url):
+        assert HttpGenerator(url, backoff=0).generate("s", "u") == "hello"
+    assert server.auth == [None if key is None else f"Bearer {key}"]
 
 
 def test_collect_endpoint_client_error_exits_4(monkeypatch, tmp_path):

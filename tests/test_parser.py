@@ -23,12 +23,12 @@ from folkit.fol import (
     iter_locations,
     literal_occurrences,
     print_canonical,
-    replace_node,
     tokens,
 )
 from folkit.forge import _count_operators
 from folkit.metrics import reward, reward_detail
 from folkit.parser import MAX_OPERATORS, FolSyntaxError, _is_name, parse, roundtrip_stable, validate
+from helpers import replace_node
 from parser_reference import parse as reference_parse
 
 
