@@ -417,10 +417,11 @@ def collect_cmd(target, endpoint, model, replay, bootstrap, out_dir, align_thres
     if not replay and not endpoint:
         raise click.UsageError("provide --endpoint or --replay")
     pairs = rowio.load_pairs(bootstrap)
+    # built before the dry-run return, so that a dry run reads the replay too
+    generator = ReplayGenerator(replay) if replay else HttpGenerator(endpoint, model)
     if dry_run:
         click.echo(f"dry-run: target {target}, bootstrap corpus of {len(pairs)}")
         return
-    generator = ReplayGenerator(replay) if replay else HttpGenerator(endpoint, model)
     result = run_collection(
         generator, target, out_dir, pairs, random.Random(seed),
         align_threshold=align_threshold, max_calls=max_calls,

@@ -15,6 +15,10 @@ distance to a running cost, backing up releases both, and the last depth
 yields its bindings from a plain loop. So a binding is neither passed up
 through one generator frame per atom nor re-summed for its cost.
 
+An equal pair is scored without a search. Equal bodies score LE 1.0 on their
+first binding, the identity, which is built without a distance or a truth
+table; equal rules score BLEU 1.0 without an n-gram count.
+
 Truth tables are bit strings (Knuth, TAOCP 4A §7.1): slot k of a binding is
 one integer whose bit r is (r >> k) & 1, so a body is evaluated over all 2^n
 rows at once. Each body is compiled once per call into a tree of closures
@@ -157,13 +161,34 @@ def bind_atoms(p: list[Literal], q: list[Literal], search_cap: int = 1000) -> It
     order that sorting the unclaimed ones at each step would. The search is
     one loop over an explicit stack (see ``_search``), so a binding is
     yielded from the loop that builds it.
+
+    Equal lists yield the identity first, at cost 0 and with no distance
+    computed: ``dist[i][i]`` is 0 and ties keep index order, so depth i finds
+    every lower index claimed and takes i. The distances are computed only
+    if a second binding is drawn.
     """
+    search = _identity_first(p) if p == q else _search(*_greedy_order(p, q))
+    return islice(search, search_cap)
+
+
+def _greedy_order(p: list[Literal], q: list[Literal]) -> tuple[list[list[int]], list[list[int | None]], int]:
+    """The distances, each gold atom's partners in search order, and len(q)."""
     n_p, n_q = len(p), len(q)
     q_texts = [_masked_text(a) for a in q]
     dist = [[levenshtein(p_text, q_text) for q_text in q_texts] for p_text in map(_masked_text, p)]
     dummy: list[int | None] = [None] if n_p > n_q else []
     order = [sorted(range(n_q), key=row.__getitem__) + dummy for row in dist]
-    return islice(_search(dist, order, n_q), search_cap)
+    return dist, order, n_q
+
+
+def _identity_first(p: list[Literal]) -> Iterator[Binding]:
+    """The bindings ``_search`` yields over (p, p); the first, the identity, is
+    built before any distance is computed."""
+    n = len(p)
+    yield Binding(tuple((i, i) for i in range(n)), n, 0)
+    rest = _search(*_greedy_order(p, p))
+    next(rest)  # the identity again
+    yield from rest
 
 
 def _search(dist: list[list[int]], order: list[list[int | None]], n_q: int) -> Iterator[Binding]:
@@ -294,6 +319,8 @@ def le_score(
         raise TooManyAtoms(f"{arity} atoms exceeds cap of {config.max_atoms}")
 
     rows_total = 1 << arity
+    if gold.body == pred.body:  # the first binding, the identity, agrees on every row
+        return LeResult(1.0, next(bind_atoms(p, q, config.search_cap)), rows_total, rows_total)
     full = (1 << rows_total) - 1
     masks = _slot_masks(arity)
     # every binding puts gold atom k in slot k, so the gold table is fixed
@@ -403,7 +430,8 @@ def reward_detail(
     except TooManyAtoms as exc:
         log.warning("LE skipped: %s", exc)
         le, notes = 0.0, [f"LE skipped: {exc}"]
-    bleu = _bleu_from_tokens(tokens(gold), tokens(pred))
+    # every clipped n-gram count of a rule against itself equals its total
+    bleu = 1.0 if gold == pred else _bleu_from_tokens(tokens(gold), tokens(pred))
     return RewardBreakdown(mix(le, bleu, config.omega), le, bleu, binding, notes)
 
 

@@ -286,22 +286,22 @@ def render_fix_steps(start: FolRule, steps: list[EditStep]) -> list[str]:
 
 _SYNTH_CONSTANTS = [f"C{i}" for i in range(1, 100)]
 _VAR_NAMES = ["x", "y", "z", "u", "v", "w"] + [f"x{i}" for i in range(1, 50)]
+N_CORRECT_CHOICES = (0, 1, 2, 3)  # the step counts split_iteration draws for the target chunk
 
 
 @dataclass(frozen=True)
 class PerturbConfig:
     n_perturb_choices: tuple[int, ...] = tuple(range(0, 11))
-    n_correct_choices: tuple[int, ...] = (0, 1, 2, 3)
     negative_prob: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.negative_prob <= 1.0:
             raise ValueError("negative_prob must be in [0, 1]")
-        if not self.n_perturb_choices or not self.n_correct_choices:
-            raise ValueError("choice lists must be non-empty")
-        if min(self.n_perturb_choices) < 0 or min(self.n_correct_choices) < 0:
-            raise ValueError("choice lists must not hold negative counts")
+        if not self.n_perturb_choices:
+            raise ValueError("n_perturb_choices must be non-empty")
+        if min(self.n_perturb_choices) < 0:
+            raise ValueError("n_perturb_choices must not hold negative counts")
 
 
 class _TreeView:
@@ -576,11 +576,11 @@ def split_iteration(
     """Split a full correction sequence into (previous, target) chunks.
 
     The target chunk is the last N_Correct steps, with N_Correct sampled
-    from the configured choices and clamped to the sequence length.
+    from N_CORRECT_CHOICES and clamped to the sequence length.
     """
     if rng is None:
         rng = random.Random(config.seed)
-    n_correct = min(rng.choice(config.n_correct_choices), len(steps))
+    n_correct = min(rng.choice(N_CORRECT_CHOICES), len(steps))
     cut = len(steps) - n_correct
     return list(steps[:cut]), list(steps[cut:])
 

@@ -457,6 +457,8 @@ MALFORMED = [
     ("stats-bad-json", lambda t: ["stats", "--in", _write(t / "p.jsonl", '{"nl": "a", "fol": "P(A)"}\n\nnope\n')],
      ["p.jsonl:3:"]),
     ("collect-bad-replay-line", lambda t: _collect_argv(t, '"ok"\n{oops\n'), ["replay.jsonl:2:"]),
+    ("collect-bad-replay-line-dry-run", lambda t: _collect_argv(t, '"ok"\n{oops\n') + ["--dry-run"],
+     ["replay.jsonl:2:"]),
     ("collect-bad-accepted-on-resume", lambda t: _collect_argv(
         t, '"ok"\n', {"accepted.jsonl": '{"nl": "a", "fol": "P(A)"}\ngarbage\n'}), ["accepted.jsonl:2:"]),
     ("correct-gold-line-blank", lambda t: _correct_argv(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkit.fol import atoms, is_variable
+from folkit.fol import AND, IFF, IMPLIES, OR, XOR, atoms, is_variable, iter_locations, tokens
 import folkit.metrics
 from folkit.metrics import (
     MAX_ATOMS,
@@ -31,6 +31,8 @@ from folkit.metrics import (
     le_score,
     _bleu_from_tokens,
     _compile_table,
+    _greedy_order,
+    _search,
     levenshtein,
     mix,
     reward,
@@ -40,7 +42,7 @@ from folkit.parser import MAX_OPERATORS, parse
 from folkit.perturb import random_rule
 from folkit.fol import BinaryOp, FolRule, Group, Literal, Negation, print_canonical
 
-from helpers import describe
+from helpers import describe, replace_node
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +124,15 @@ def test_le_dummy_padding():
 
 
 def test_le_identity():
-    for text in ["P(A)", "∀x (P(x) → Q(x))", "¬(P(A)) ↔ Q(B) ⊕ R(C)"]:
-        assert le_score(text, text).score == 1.0
+    # an equal pair is scored on its first binding, the identity, at cost 0
+    for text in ["P(A)", "∀x (P(x) → Q(x))", "¬(P(A)) ↔ Q(B) ⊕ R(C)", "∀x (P(x) ∧ Q(x) → R(x) ∨ ¬S(x))"]:
+        gold, pred = parse(text), parse(text)
+        n = len(atoms(gold))
+        result = le_score(gold, pred)
+        assert (result.score, result.rows_matched, result.rows_total) == (1.0, 1 << n, 1 << n)
+        assert result.binding == Binding(tuple((i, i) for i in range(n)), n, 0)
+        detail = reward_detail(gold, pred)
+        assert (detail.le, detail.bleu, detail.reward, detail.binding) == (1.0, 1.0, 1.0, result.binding)
 
 
 def test_le_contradiction_scores_zero():
@@ -148,6 +157,7 @@ def test_le_matches_oracle_on_random_pairs():
 
 
 def test_le_too_many_atoms():
+    # an equal pair too: the cap is checked before equal bodies are scored
     parts = " ∧ ".join(f"P{i}(A)" for i in range(20))
     with pytest.raises(TooManyAtoms):
         le_score(parts, parts, RewardConfig(max_atoms=16))
@@ -675,3 +685,119 @@ def test_le_score_draws_search_cap_bindings_when_none_matches(consumed):
     result = le_score(" ∧ ".join(names), " ∨ ".join(names), RewardConfig(search_cap=50))
     assert result.rows_matched == 2
     assert consumed == [50]
+
+
+# ---------------------------------------------------------------------------
+# an equal pair is scored on its first binding, the identity, with no search
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ATOMS, max_size=7, unique=True), st.sampled_from([1, 2, 50, 1000]))
+def test_bind_atoms_on_equal_lists_yields_what_the_search_yields(p, cap):
+    assert list(bind_atoms(p, list(p), cap)) == list(itertools.islice(_search(*_greedy_order(p, p)), cap))
+
+
+def test_first_binding_of_equal_lists_computes_no_distance(monkeypatch):
+    calls = []
+    real = folkit.metrics.levenshtein
+    monkeypatch.setattr(folkit.metrics, "levenshtein", lambda a, b: calls.append(1) or real(a, b))
+    p = atoms(parse("P(x) ∧ P(y) ∧ Q(A)"))  # P(x) and P(y) tie at distance 0
+    bindings = bind_atoms(p, list(p))
+    assert next(bindings) == Binding(((0, 0), (1, 1), (2, 2)), 3, 0)
+    assert calls == []
+    assert next(bindings).pairs == ((0, 0), (1, 2), (2, 1))  # the second binding runs the search
+    assert len(calls) == 9
+
+
+def test_equal_atom_lists_under_different_bodies_are_searched():
+    gold, pred = "P(A) ∧ Q(B)", "P(A) ∨ Q(B)"
+    assert atoms(parse(gold)) == atoms(parse(pred))
+    assert le_score(gold, pred).score == 0.5
+    assert reward_detail(gold, pred).le == 0.5
+
+
+def test_equal_bodies_under_different_prefixes_count_bleu():
+    gold, pred = parse("∀x (P(x) → Q(x))"), parse("∃x (P(x) → Q(x))")
+    detail = reward_detail(gold, pred)
+    assert detail.le == 1.0
+    assert detail.bleu == _bleu_from_tokens(tokens(gold), tokens(pred)) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# what the LE reward pays for: properties up to 6 atoms a side, where the
+# search tries every binding (6! = 720 < search_cap)
+
+
+def _perturbed_pair(seed: int) -> tuple[FolRule, FolRule]:
+    from folkit.perturb import PerturbConfig, sample_perturbation
+
+    rng = random.Random(seed)
+    gold = random_rule(rng, max_literals=rng.randint(1, 6))
+    pred, _ = sample_perturbation(gold, PerturbConfig(), rng)
+    assume(len(atoms(pred)) <= 6)
+    return gold, pred
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_le_is_symmetric(seed):
+    gold, pred = _perturbed_pair(seed)
+    assert le_score(gold, pred).score == le_score(pred, gold).score
+
+
+def _rename_predicates(rule: FolRule, names: dict[str, str]) -> FolRule:
+    def rename(node):
+        if isinstance(node, Literal):
+            return Literal(names[node.predicate], node.args, node.negated)
+        if isinstance(node, BinaryOp):
+            return BinaryOp(node.op, rename(node.left), rename(node.right))
+        return type(node)(rename(node.child))
+
+    return FolRule(rule.prefix, rename(rule.body))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_le_does_not_see_which_predicate_is_which(seed, shuffler):
+    gold, pred = _perturbed_pair(seed)
+    old = sorted({a.predicate for a in atoms(pred)})
+    fresh = [f"Fresh{i}" for i in range(len(old))]
+    shuffler.shuffle(fresh)
+    renamed = _rename_predicates(pred, dict(zip(old, fresh)))
+    assert le_score(gold, renamed).score == le_score(gold, pred).score
+
+
+# name: (the operators of the nodes it rewrites, None for any node; an equivalent node)
+_REWRITES = {
+    "commute": ((AND, OR, XOR, IFF), lambda n: BinaryOp(n.op, n.right, n.left)),
+    "double negation": (None, lambda n: Negation(Negation(n))),
+    "de morgan": ((AND, OR), lambda n: Negation(
+        BinaryOp({AND: OR, OR: AND}[n.op], Negation(n.left), Negation(n.right)))),
+    "contraposition": ((IMPLIES,), lambda n: BinaryOp(IMPLIES, Negation(n.right), Negation(n.left))),
+    "implication as disjunction": ((IMPLIES,), lambda n: BinaryOp(OR, Negation(n.left), n.right)),
+}
+
+
+@pytest.mark.parametrize("kind", _REWRITES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_equivalence_rewrites_score_one(kind, data):
+    """The gold is a random rule whose rewritten node, if it needs an operator,
+    is given one of the operators the rewrite applies to."""
+    ops, rewrite = _REWRITES[kind]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    gold = random_rule(rng, max_literals=rng.randint(2, 6))
+    nodes = [(loc, node) for loc, node in iter_locations(gold) if ops is None or isinstance(node, BinaryOp)]
+    assume(nodes)  # a rule of one literal has no operator
+    loc, node = data.draw(st.sampled_from(nodes), label="node")
+    if ops is not None:
+        node = BinaryOp(data.draw(st.sampled_from(ops), label="operator"), node.left, node.right)
+        gold = replace_node(gold, loc, node)
+    pred = replace_node(gold, loc, rewrite(node))
+    assert le_score(gold, pred).score == 1.0
+
+
+def test_le_does_not_see_prefix_or_predicate_names():
+    gold = "∀x (P(x) → Q(x))"
+    for pred in ("∀x (Q(x) → P(x))", "∀x (Dog(x) → Cat(x))", "∃x (P(x) → Q(x))"):
+        assert le_score(gold, pred).score == 1.0

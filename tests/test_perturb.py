@@ -193,20 +193,23 @@ def test_sample_perturbation_changes_when_positive():
     assert print_canonical(perturbed) != print_canonical(rule)
 
 
-@pytest.mark.parametrize("field", ["n_perturb_choices", "n_correct_choices"])
+@pytest.mark.parametrize("field", ["n_perturb_choices"])
 def test_negative_choice_counts_are_rejected(field):
     with pytest.raises(ValueError):
         PerturbConfig(**{field: (1, -1)})
 
 
-def test_split_iteration_chunks():
+def test_split_iteration_chunks(monkeypatch):
     steps = [EditStep("change_predicate", ("body",), {"old": f"P{i}", "new": "Q"}) for i in range(5)]
     rng = random.Random(0)
-    prev, target = split_iteration(steps, PerturbConfig(n_correct_choices=(2,)), rng)
+    monkeypatch.setattr(perturb_module, "N_CORRECT_CHOICES", (2,))
+    prev, target = split_iteration(steps, PerturbConfig(), rng)
     assert prev == steps[:3] and target == steps[3:]
-    prev, target = split_iteration(steps, PerturbConfig(n_correct_choices=(0,)), rng)
+    monkeypatch.setattr(perturb_module, "N_CORRECT_CHOICES", (0,))
+    prev, target = split_iteration(steps, PerturbConfig(), rng)
     assert prev == steps and target == []
-    prev, target = split_iteration(steps[:1], PerturbConfig(n_correct_choices=(3,)), rng)
+    monkeypatch.setattr(perturb_module, "N_CORRECT_CHOICES", (3,))
+    prev, target = split_iteration(steps[:1], PerturbConfig(), rng)
     assert prev == [] and target == steps[:1]  # clamped to the sequence length
 
 
